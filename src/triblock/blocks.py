@@ -39,6 +39,18 @@ class NotB5c(ValueError):
     """canonical_b5c_frame was handed a block that is not a B5c."""
 
 
+def _relabeled(
+    vertices: frozenset[int], edges: frozenset[Edge]
+) -> tuple[Graph, tuple[int, ...]]:
+    """See :meth:`TriangularBlock.induced_subgraph`."""
+    originals = tuple(sorted(vertices))
+    index = {v: i for i, v in enumerate(originals)}
+    relabeled = Graph.from_edges(
+        len(originals), ((index[u], index[v]) for u, v in edges)
+    )
+    return relabeled, originals
+
+
 @dataclass(frozen=True)
 class TriangularBlock:
     """One block of the decomposition.
@@ -61,12 +73,7 @@ class TriangularBlock:
     def induced_subgraph(self) -> tuple[Graph, tuple[int, ...]]:
         """The block's edge-induced subgraph relabeled to 0..k-1, plus the
         sorted original vertex ids (index i holds the original of i)."""
-        originals = tuple(sorted(self.vertices))
-        index = {v: i for i, v in enumerate(originals)}
-        relabeled = Graph.from_edges(
-            len(originals), ((index[u], index[v]) for u, v in self.edges)
-        )
-        return relabeled, originals
+        return _relabeled(self.vertices, self.edges)
 
     def degree_in_block(self) -> dict[int, int]:
         """Vertex degrees counting block edges only."""
@@ -165,11 +172,7 @@ def decompose(pg: PlaneGraph) -> Decomposition:
                     f"{edge_to_block[edge]} and {block_id}"
                 )
             edge_to_block[edge] = block_id
-        originals = tuple(sorted(vertices))
-        index = {v: i for i, v in enumerate(originals)}
-        subgraph = Graph.from_edges(
-            len(originals), ((index[u], index[v]) for u, v in edges)
-        )
+        subgraph, _ = _relabeled(vertices, edges)
         label = classify(subgraph, len(interior))
         blocks.append(
             TriangularBlock(

@@ -16,8 +16,6 @@ import json
 import sys
 from pathlib import Path
 
-import networkx as nx
-
 from .blocks import Decomposition, DecompositionError, decompose
 from .catalog import CATALOG_LABELS, catalog_graph, catalog_plane_graph
 from .constructions import (
@@ -27,7 +25,7 @@ from .constructions import (
     verify_extremal,
 )
 from .contribution import TooSmall, certify, get_spec
-from .oracle import CapExceeded, max_edges
+from .oracle import CapExceeded, arbitrary_embedding, max_edges
 from .patterns import (
     KERNEL_NAME,
     contains_subgraph,
@@ -39,7 +37,6 @@ from .plane_graph import (
     Graph,
     PlaneGraph,
     PlaneGraphError,
-    build_plane_graph,
     export_dot,
     format_planegraph,
     parse_planegraph,
@@ -63,6 +60,23 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise _UsageError(message)
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}"
+            ) from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def resolve_patterns(name: str) -> list[tuple[str, Graph]]:
@@ -120,19 +134,6 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _print_json(obj: object) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
-
-
-def _arbitrary_embedding(g: Graph) -> PlaneGraph:
-    """Some valid plane embedding of an abstract planar graph, for
-    serialization only — the choice of faces carries no meaning."""
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(g.n))
-    nxg.add_edges_from(sorted(g.edges))
-    ok, embedding = nx.check_planarity(nxg)
-    if not ok:
-        raise PlaneGraphError("graph is not planar; cannot embed")
-    data = embedding.get_data()
-    return build_plane_graph(g.n, [data[v] for v in range(g.n)])
 
 
 def _decomposition_json(pg: PlaneGraph, dec: Decomposition) -> dict:
@@ -238,9 +239,6 @@ def _cmd_check_free(args: argparse.Namespace) -> int:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     k = args.k
-    if k < 0:
-        print(f"error: --k must be nonnegative, got {k}", file=sys.stderr)
-        return 1
     if args.skeleton_only:
         skeleton = build_skeleton(k)
         pg = skeleton.plane_graph
@@ -306,7 +304,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         outdir = Path(args.witnesses)
         outdir.mkdir(parents=True, exist_ok=True)
         for i, edges in enumerate(result.witnesses):
-            pg = _arbitrary_embedding(Graph.from_edges(result.n, edges))
+            pg = arbitrary_embedding(Graph.from_edges(result.n, edges))
             text = format_planegraph(
                 pg,
                 comment=(
@@ -405,7 +403,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_check_free)
 
     p = sub.add_parser("construct", help="build the extremal family")
-    p.add_argument("--k", type=int, required=True, help="family index >= 0")
+    p.add_argument(
+        "--k", type=_int_at_least(0), required=True, help="family index >= 0"
+    )
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument(
         "--skeleton-only",
@@ -421,9 +421,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("oracle", help="exhaustive maximum on small n")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--pattern", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument(
         "--witnesses",
         metavar="DIR",

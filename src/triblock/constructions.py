@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .blocks import decompose
-from .contribution import Certificate, THETA6_1_SPEC, certify
+from .contribution import Certificate, THETA6_1_SPEC, certify_decomposition
 from .patterns import THETA6_1, contains_subgraph, cycle_graph, is_free
 from .plane_graph import Edge, PlaneGraph, from_coordinates, normalize_edge
 
@@ -426,7 +426,7 @@ def verify_extremal(k: int, check_freeness: bool = True) -> ExtremalReport:
     blocks_all_b5a = len(dec.blocks) == 50 * k + 20 and all(
         b.label == "B5a" for b in dec.blocks
     )
-    cert = certify(graph, THETA6_1_SPEC, freeness_checked=pattern_free)
+    cert = certify_decomposition(graph, dec, THETA6_1_SPEC, pattern_free)
     all_g_zero = all(c.g_c == 0 for c in cert.clusters)
     bound_equality = 17 * graph.m == 45 * (graph.n - 2)
     return ExtremalReport(

@@ -73,12 +73,12 @@ __all__ = [
     "ClusterConflict",
     "DecompositionAnomaly",
     "MalformedNeighborhood",
-    "Rational",
     "SPECS",
     "THETA6_1_SPEC",
     "THETA6_2_SPEC",
     "TooSmall",
     "certify",
+    "certify_decomposition",
     "edge_contribution",
     "face_contribution",
     "form_clusters",
@@ -86,10 +86,6 @@ __all__ = [
     "g_eval",
     "get_spec",
 ]
-
-#: Exact rational numbers; `fractions.Fraction` already keeps the canonical
-#: reduced form with positive denominator that the accounting relies on.
-Rational = Fraction
 
 
 class TooSmall(ValueError):
@@ -462,10 +458,19 @@ def certify(
     one, so the certificate records it.  Raises TooSmall below 6 vertices
     and DecompositionError if an exact identity fails (always a bug).
     """
+    return certify_decomposition(pg, decompose(pg), spec, freeness_checked)
+
+
+def certify_decomposition(
+    pg: PlaneGraph,
+    dec: Decomposition,
+    spec: BoundSpec,
+    freeness_checked: bool | None = None,
+) -> Certificate:
+    """:func:`certify` for a caller that already holds ``decompose(pg)``."""
     if pg.n < 6:
         raise TooSmall(f"certify needs n >= 6, got n={pg.n}")
 
-    dec = decompose(pg)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         clusters = tuple(form_clusters(pg, dec, spec))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -30,11 +31,18 @@ from multiprocessing import Pool
 import networkx as nx
 
 from .patterns import contains_subgraph_using_edge, is_free, isomorphic
-from .plane_graph import Edge, Graph, normalize_edge
+from .plane_graph import (
+    Edge,
+    Graph,
+    PlaneGraph,
+    PlaneGraphError,
+    normalize_edge,
+)
 
 __all__ = [
     "CapExceeded",
     "OracleResult",
+    "arbitrary_embedding",
     "canonical_edges",
     "is_planar",
     "max_edges",
@@ -46,16 +54,32 @@ class CapExceeded(ValueError):
     """The requested n exceeds the safety cap (the search is exponential)."""
 
 
+def _nx_graph(g: Graph) -> nx.Graph:
+    """The same graph for networkx, vertices 0..n-1 and edges in sorted
+    order (the embedding networkx returns depends on insertion order)."""
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(sorted(g.edges))
+    return nxg
+
+
 def is_planar(g: Graph) -> bool:
     if g.n >= 3 and g.m > 3 * g.n - 6:
         return False
     if g.m == 0:
         return True
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(g.n))
-    nxg.add_edges_from(g.edges)
-    ok, _ = nx.check_planarity(nxg, counterexample=False)
+    ok, _ = nx.check_planarity(_nx_graph(g), counterexample=False)
     return bool(ok)
+
+
+def arbitrary_embedding(g: Graph) -> PlaneGraph:
+    """Some valid plane embedding of an abstract planar graph, for
+    serialization only — the choice of faces carries no meaning."""
+    ok, embedding = nx.check_planarity(_nx_graph(g))
+    if not ok:
+        raise PlaneGraphError("graph is not planar; cannot embed")
+    data = embedding.get_data()
+    return PlaneGraph(g.n, [data[v] for v in range(g.n)])
 
 
 def _triangle_count(g: Graph) -> int:
@@ -187,8 +211,9 @@ def max_edges(
     witness_cap: int = 100,
 ) -> OracleResult:
     """Exhaustively determine the maximum edge count and the extremal
-    graphs.  A tuple of patterns means "free of all of them".  Raises
-    CapExceeded past the cap unless forced."""
+    graphs.  A tuple of patterns means "free of all of them".  ``jobs`` is
+    clamped to the machine's CPU count.  Raises CapExceeded past the cap
+    unless forced."""
     patterns = (pattern,) if isinstance(pattern, Graph) else tuple(pattern)
     if not patterns:
         raise ValueError("need at least one pattern")
@@ -201,6 +226,7 @@ def max_edges(
             f"n={n} exceeds the cap of {cap}; the sweep is exponential. "
             "Pass force=True (or --force) to run it anyway."
         )
+    jobs = min(jobs, os.cpu_count() or 1)  # more workers than cores only thrash
     start = time.perf_counter()
     level: list[Graph] = [Graph.from_edges(n, ())]
     level_sizes = [1]
@@ -239,25 +265,6 @@ def max_edges(
         elapsed=time.perf_counter() - start,
         level_sizes=tuple(level_sizes),
     )
-
-
-def _components(g: Graph) -> list[tuple[int, ...]]:
-    seen: set[int] = set()
-    out: list[tuple[int, ...]] = []
-    for start in range(g.n):
-        if start in seen:
-            continue
-        stack, comp = [start], []
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in g.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        out.append(tuple(sorted(comp)))
-    return out
 
 
 def _component_has_planar_rotation(
@@ -310,7 +317,7 @@ def planar_by_embedding_search(g: Graph, budget: int = 10**6) -> bool | None:
     when any component needs more than ``budget`` rotation systems.
     """
     verdict = True
-    for comp in _components(g):
+    for comp in g.components():
         if len(comp) <= 2:
             continue
         result = _component_has_planar_rotation(comp, g, budget)

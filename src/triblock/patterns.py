@@ -4,9 +4,11 @@ Containment here is plain subgraph containment (not induced): a pattern is
 contained in a host when some injective vertex map sends every pattern edge
 to a host edge.  Extra host edges between image vertices are irrelevant.
 
-The search kernel is compiled (Cython) when the extension built, with a
-pure-Python twin as fallback; both return the identical first witness in
-ascending host-vertex order, so results never depend on which one loaded.
+The search is one backtracking kernel (`_find_embedding`) that tries host
+candidates in ascending vertex order, so the first witness is
+deterministic.  Host adjacency is kept as arbitrary-precision integer
+bitmasks, which keeps the inner loop in C-speed integer ops even for hosts
+with a few hundred vertices.
 """
 
 from __future__ import annotations
@@ -14,17 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
+from typing import Sequence
 
 from .plane_graph import Graph, PlaneGraph, normalize_edge
 
-try:
-    from . import _match_cy as _kernel
-
-    KERNEL_NAME = "compiled"
-except ImportError:  # extension not built; the pure twin is always present
-    from . import _match_py as _kernel
-
-    KERNEL_NAME = "pure-python"
+#: Name of the containment kernel, reported by the oracle CLI and benchmarks.
+KERNEL_NAME = "pure-python"
 
 __all__ = [
     "EmbeddingWitness",
@@ -129,6 +126,91 @@ def _order(adj: tuple[frozenset[int], ...], fixed: tuple[int, ...]) -> tuple[int
     return tuple(order)
 
 
+def _find_embedding(
+    pattern_adj: Sequence[Sequence[int]],
+    order: Sequence[int],
+    host_adj: Sequence[Sequence[int]],
+    fixed_hosts: Sequence[int] = (),
+) -> tuple[int, ...] | None:
+    """Injective edge-preserving map of the pattern into the host.
+
+    ``order`` fixes the assignment sequence of pattern vertices; the first
+    ``len(fixed_hosts)`` of them are pinned to the given host vertices.
+    Returns the mapping as a tuple indexed by pattern vertex, or None.
+    """
+    p = len(pattern_adj)
+    hn = len(host_adj)
+    if p == 0:
+        return ()
+    if p > hn:
+        return None
+
+    masks = [0] * hn
+    for v, nbrs in enumerate(host_adj):
+        mask = 0
+        for w in nbrs:
+            mask |= 1 << w
+        masks[v] = mask
+    host_degs = [len(nbrs) for nbrs in host_adj]
+
+    pos_of = [0] * p
+    for i, pv in enumerate(order):
+        pos_of[pv] = i
+    # For each position, the earlier positions holding pattern neighbors.
+    earlier: list[tuple[int, ...]] = []
+    for i, pv in enumerate(order):
+        earlier.append(tuple(j for j in (pos_of[w] for w in pattern_adj[pv]) if j < i))
+
+    # Static per-position candidate filters: host degree and pinning.
+    allowed = [0] * p
+    degree_masks: dict[int, int] = {}
+    for i, pv in enumerate(order):
+        d = len(pattern_adj[pv])
+        mask = degree_masks.get(d)
+        if mask is None:
+            mask = 0
+            for v in range(hn):
+                if host_degs[v] >= d:
+                    mask |= 1 << v
+            degree_masks[d] = mask
+        if i < len(fixed_hosts):
+            mask &= 1 << fixed_hosts[i]
+        allowed[i] = mask
+
+    cand = [0] * p
+    assigned = [0] * p
+    used = 0
+
+    def candidates(i: int) -> int:
+        c = allowed[i] & ~used
+        for j in earlier[i]:
+            c &= masks[assigned[j]]
+        return c
+
+    i = 0
+    cand[0] = candidates(0)
+    while i >= 0:
+        c = cand[i]
+        if c:
+            bit = c & -c
+            cand[i] = c ^ bit
+            v = bit.bit_length() - 1
+            assigned[i] = v
+            if i == p - 1:
+                mapping = [0] * p
+                for j in range(p):
+                    mapping[order[j]] = assigned[j]
+                return tuple(mapping)
+            used |= bit
+            i += 1
+            cand[i] = candidates(i)
+        else:
+            i -= 1
+            if i >= 0:
+                used &= ~(1 << assigned[i])
+    return None
+
+
 def contains_subgraph(
     host: Graph | PlaneGraph, pattern: Graph
 ) -> EmbeddingWitness | None:
@@ -137,7 +219,7 @@ def contains_subgraph(
     if pattern.n > hg.n or pattern.m > hg.m:
         return None
     adj = pattern.adjacency()
-    mapping = _kernel.find_embedding(adj, _order(adj, ()), hg.adjacency())
+    mapping = _find_embedding(adj, _order(adj, ()), hg.adjacency())
     return None if mapping is None else EmbeddingWitness(mapping)
 
 
@@ -160,7 +242,7 @@ def contains_subgraph_using_edge(
     for a, b in sorted(pattern.edges):
         order = _order(adj, (a, b))
         for image in ((u, v), (v, u)):
-            mapping = _kernel.find_embedding(adj, order, host_adj, image)
+            mapping = _find_embedding(adj, order, host_adj, image)
             if mapping is not None:
                 return EmbeddingWitness(mapping)
     return None

@@ -131,18 +131,29 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return normalize_edge(u, v) in self.edges
 
-    def is_connected(self) -> bool:
-        if self.n == 0:
-            return False
+    def components(self) -> list[tuple[int, ...]]:
+        """Vertex sets of the connected components, each sorted, in order
+        of their smallest vertex."""
         adj = self.adjacency()
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        seen: set[int] = set()
+        out: list[tuple[int, ...]] = []
+        for start in range(self.n):
+            if start in seen:
+                continue
+            seen.add(start)
+            comp = [start]
+            stack = [start]
+            while stack:
+                for w in adj[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        comp.append(w)
+                        stack.append(w)
+            out.append(tuple(sorted(comp)))
+        return out
+
+    def is_connected(self) -> bool:
+        return self.n > 0 and len(self.components()) == 1
 
 
 class Dart(NamedTuple):

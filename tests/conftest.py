@@ -8,9 +8,8 @@ import os
 import pytest
 
 from triblock.catalog import CATALOG_LABELS, catalog_plane_graph
-from triblock.cli import _arbitrary_embedding
 from triblock.constructions import build_skeleton, gadget_a, gadget_b, substitute_b5a
-from triblock.oracle import OracleResult, max_edges
+from triblock.oracle import OracleResult, arbitrary_embedding, max_edges
 from triblock.patterns import THETA6_1, THETA6_2, theta_pattern
 from triblock.plane_graph import Graph, PlaneGraph, from_coordinates
 
@@ -31,7 +30,7 @@ KNOWN_MAX_EDGES: dict[tuple[int, str], int] = {
 
 
 def embed(g: Graph) -> PlaneGraph:
-    return _arbitrary_embedding(g)
+    return arbitrary_embedding(g)
 
 
 # ---------------------------------------------------------------------------

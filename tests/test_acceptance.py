@@ -108,8 +108,8 @@ def test_acceptance_4_theorem_regression_desk_scale(oracle_results):
     pattern.  Tightness is asymptotic only — no desk-scale value attains
     equality (the first equality instances are the n = 70k+70 family of
     criterion 1) — so this property check is the substitute for it.
-    Expected runtime: under 10 min at n = 8 with 8 workers; about half a
-    minute single-core with the compiled kernel.
+    Expected runtime: about half a minute single-core, nearly all of it
+    in the shared oracle fixture.
     """
     for n in (6, 7, 8):
         v1 = oracle_results[n, "theta6-1"].max_edges
@@ -140,18 +140,12 @@ def test_acceptance_5_nonpositivity(corpus):
     formed under that target must have g <= 0.  A single positive cluster
     anywhere fails the build.  Expected runtime: under 2 min.
 
-    Known failure, left red on purpose: K5 minus an edge with a pendant
-    vertex hanging into one of its faces is theta6-2-free (no 6-cycle at
-    all), yet its B5a cluster has f = 5 + 3/5 = 28/5 and
-    g = 18*(28/5) - 11*9 = 9/5 > 0.  The per-cluster accounting for the
-    18/7 target silently assumes every face adjacent to a B5a is a walk of
-    length >= 6, which a triangle with a pendant edge inside it (a 5-walk
-    face) escapes; the bound itself still holds (criterion 4 confirms
-    10 <= 18*4/7 at n = 6), but this sweep is the sharper claim and the
-    graph above is a genuine counterexample to it.  Both shapes of the
-    counterexample are unavoidable corpus members: they are maximal
-    theta6-2-free graphs at n = 6 and so appear among the oracle
-    witnesses.  See the README's acceptance notes.
+    The hosts that need more than BBar are K5 minus an edge with a pendant
+    vertex hanging into one of its faces: theta6-2-free n = 6 maxima, so
+    oracle witnesses.  Alone, their B5a block scores f = 5 + 3/5 = 28/5 and
+    g = 18*(28/5) - 11*9 = 9/5 > 0; the bridge-absorption cluster rule
+    merges it with the pendant bridge into one cluster at g = -2.  See the
+    README's acceptance notes.
     """
     checked = 0
     violations: list[str] = []

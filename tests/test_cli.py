@@ -30,12 +30,21 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+USAGE_ERRORS = [
+    [],
+    ["no-such-command"],
+    ["certify"],  # --target is required
+    ["construct"],  # --k is required
+    ["oracle", "--n", "0", "--pattern", "theta6-2"],
+    ["oracle", "--n", "-3", "--pattern", "theta6-2"],
+    ["oracle", "--n", "5", "--pattern", "theta6-2", "--jobs", "0"],
+]
+
+
 def test_missing_subcommand_is_a_usage_error(capsys):
-    assert main([]) == 1
-    assert main(["no-such-command"]) == 1
-    assert main(["certify"]) == 1  # --target is required
-    assert main(["construct"]) == 1  # --k is required
-    capsys.readouterr()
+    for argv in USAGE_ERRORS:
+        assert main(argv) == 1, argv
+        assert "error:" in capsys.readouterr().err, argv
 
 
 def test_resolve_patterns():

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
 
 from conftest import KNOWN_MAX_EDGES, PATTERNS, systematic_graphs
+from triblock import oracle
 from triblock.oracle import (
     CapExceeded,
     canonical_edges,
@@ -107,6 +109,31 @@ def test_parallel_run_is_deterministic():
     assert serial.witnesses == parallel.witnesses
     assert serial.level_sizes == parallel.level_sizes
     assert serial.explored == parallel.explored
+
+
+def test_jobs_is_clamped_to_the_cpu_count(monkeypatch):
+    # The recorder stands in for multiprocessing.Pool and maps serially, so
+    # no worker process starts whatever size is requested.
+    sizes: list[int] = []
+
+    class SerialPool:
+        def __init__(self, processes: int):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, iterable, chunksize=None):
+            return [fn(item) for item in iterable]
+
+    monkeypatch.setattr(oracle, "Pool", SerialPool)
+    cpus = os.cpu_count() or 1
+    result = max_edges(5, THETA6_2, jobs=cpus + 1)
+    assert result.max_edges == 9
+    assert set(sizes) == ({cpus} if cpus > 1 else set())
 
 
 def test_pattern_tuple_means_free_of_all():

@@ -3,13 +3,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from triblock import _match_py
 from triblock.catalog import catalog_graph
 from triblock.patterns import (
     KERNEL_NAME,
     THETA6_1,
     THETA6_2,
-    _order,
     brute_force_contains,
     contains_subgraph,
     contains_subgraph_using_edge,
@@ -114,19 +112,6 @@ def test_kernel_agrees_with_brute_force_on_catalog():
             assert (fast is None) == (slow is None), (label, pattern.edges)
             if fast is not None:
                 assert fast.is_valid(host, pattern)
-
-
-def test_compiled_and_pure_kernels_agree():
-    cy = pytest.importorskip("triblock._match_cy")
-    hosts = [catalog_graph("B5a"), catalog_graph("B6"), cycle_graph(7)]
-    patterns = [theta_pattern(4, 2), THETA6_1, THETA6_2]
-    for host in hosts:
-        for pattern in patterns:
-            adj = pattern.adjacency()
-            order = _order(adj, ())
-            assert cy.find_embedding(adj, order, host.adjacency()) == (
-                _match_py.find_embedding(adj, order, host.adjacency())
-            )
 
 
 def test_kernel_name_names_the_loaded_backend():
