@@ -251,8 +251,11 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         if args.out or not args.verify:
             _write_text(args.out, format_planegraph(pg, comment=comment))
         return 0
+    code = 0
     if args.verify:
         report = verify_extremal(k)
+        pg = report.plane_graph
+        code = 0 if report.ok else 2
         if args.json:
             _print_json(report.to_json_dict())
         else:
@@ -262,17 +265,12 @@ def _cmd_construct(args: argparse.Namespace) -> int:
                 f"all_g_zero={report.all_g_zero} "
                 f"equality={report.bound_equality} ok={report.ok}"
             )
-        if args.out:
-            pg = substitute_b5a(build_skeleton(k))
-            _write_text(
-                args.out,
-                format_planegraph(pg, comment=f"extremal k={k}"),
-            )
-        return 0 if report.ok else 2
-    pg = substitute_b5a(build_skeleton(k))
-    comment = f"extremal k={k}: n={pg.n} m={pg.m}"
-    _write_text(args.out, format_planegraph(pg, comment=comment))
-    return 0
+    else:
+        pg = substitute_b5a(build_skeleton(k))
+    if args.out or not args.verify:
+        comment = f"extremal k={k}: n={pg.n} m={pg.m}"
+        _write_text(args.out, format_planegraph(pg, comment=comment))
+    return code
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
@@ -471,6 +469,7 @@ def main(argv: list[str] | None = None) -> int:
         GluingMismatch,
         TooSmall,
         OSError,
+        UnicodeDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

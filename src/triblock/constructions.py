@@ -1,29 +1,29 @@
 """Extremal constructions: ring gadgets, nested gluing, block substitution.
 
 Two 4-regular planar gadgets (every edge on exactly one triangle and one
-pentagon, no 4-cycles) are drawn on concentric rings.  Copies scaled by
-powers of 36 nest inside one another, glued along matching pentagonal
-rings; gluing k+1 copies of the first gadget alternating with k copies of
-the second yields a skeleton with 70k + 30 vertices and 150k + 60 edges.
-Planting two extra vertices inside every triangle face turns each triangle
-into a 9-edge block on 5 vertices whose contribution is exactly zero, so
-the final graph meets m = (45/17)(n - 2) with equality: 170k + 70 vertices
-and 450k + 180 edges, free of the long-chord theta pattern.
+pentagon, no 4-cycles) are laid out on concentric rings.  Copies nest
+inside one another, glued along matching pentagonal rings; gluing k+1
+copies of the first gadget alternating with k copies of the second yields
+a skeleton with 70k + 30 vertices and 150k + 60 edges.  Planting two extra
+vertices inside every triangle face turns each triangle into a 9-edge
+block on 5 vertices whose contribution is exactly zero, so the final graph
+meets m = (45/17)(n - 2) with equality: 170k + 70 vertices and 450k + 180
+edges, free of the long-chord theta pattern.
 
-All layouts are explicit coordinates; the combinatorial embedding is
-recovered by angular sorting, and every structural claim above is
-re-validated at build time (`GluingMismatch` on any failure).
+Everything is combinatorial and integer-valued: a ring vertex is a ring
+level and an angle in whole degrees, its rotation row follows from those
+alone, and planting splices rotation rows.  Every structural claim above
+is re-validated at build time (`GluingMismatch` on any failure).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .blocks import decompose
 from .contribution import Certificate, THETA6_1_SPEC, certify_decomposition
 from .patterns import THETA6_1, contains_subgraph, cycle_graph, is_free
-from .plane_graph import Edge, PlaneGraph, from_coordinates, normalize_edge
+from .plane_graph import Edge, PlaneGraph, normalize_edge
 
 __all__ = [
     "Gadget",
@@ -43,31 +43,26 @@ class GluingMismatch(RuntimeError):
     ring layout, broken gluing, or a failed invariant re-check)."""
 
 
-def _point(radius: float, angle_deg: float) -> tuple[float, float]:
-    theta = math.radians(angle_deg)
-    return (radius * math.sin(theta), radius * math.cos(theta))
+# Ring tables: name -> (vertex count, angle offset, angle step), rings
+# listed from the innermost outwards.  Vertex j of a ring sits at angle
+# offset + step*j in integer degrees, increasing clockwise; only the cyclic
+# order these angles induce matters, never a drawing.
 
-
-# Ring tables: name -> (vertex count, radius, angle offset, angle step).
-# Vertex j of a ring sits at angle offset + step*j (degrees, measured so
-# that increasing angles run clockwise from the positive y axis; the
-# actual orientation is irrelevant, only consistency is).
-
-_RINGS_A: dict[str, tuple[int, float, float, float]] = {
-    "I": (5, 0.5, 0.0, 72.0),
-    "M": (5, 1.0, 180.0, 72.0),
-    "R": (10, 1.5, 90.0, 36.0),
-    "S": (5, 2.0, 0.0, 72.0),
-    "O": (5, 3.0, 180.0, 72.0),
+_RINGS_A: dict[str, tuple[int, int, int]] = {
+    "I": (5, 0, 72),
+    "M": (5, 180, 72),
+    "R": (10, 90, 36),
+    "S": (5, 0, 72),
+    "O": (5, 180, 72),
 }
 
-_RINGS_B: dict[str, tuple[int, float, float, float]] = {
-    "P": (5, 0.5, 180.0, 72.0),
-    "Q": (10, 0.8, 90.0, 36.0),
-    "T": (5, 1.2, 0.0, 72.0),
-    "U": (10, 1.6, 90.0, 36.0),
-    "W": (15, 2.2, 180.0, 24.0),
-    "X": (5, 3.0, 0.0, 72.0),
+_RINGS_B: dict[str, tuple[int, int, int]] = {
+    "P": (5, 180, 72),
+    "Q": (10, 90, 36),
+    "T": (5, 0, 72),
+    "U": (10, 90, 36),
+    "W": (15, 180, 24),
+    "X": (5, 0, 72),
 }
 
 RingVertex = tuple[str, int]
@@ -188,18 +183,21 @@ def _check_edge_face_types(
         )
 
 
-def _build_gadget(
-    rings: dict[str, tuple[int, float, float, float]],
-    edges: list[tuple[RingVertex, RingVertex]],
-) -> tuple[PlaneGraph, dict[RingVertex, int]]:
-    ids: dict[RingVertex, int] = {}
-    coords: list[tuple[float, float]] = []
-    for name, (count, radius, offset, step) in rings.items():
-        for j in range(count):
-            ids[(name, j)] = len(coords)
-            coords.append(_point(radius, offset + step * j))
-    id_edges = sorted(normalize_edge(ids[u], ids[v]) for u, v in edges)
-    return from_coordinates(coords, id_edges), ids
+def _lone_gadget(
+    kind: str, counts: tuple[int, int, int]
+) -> tuple[PlaneGraph, tuple[int, ...], tuple[int, ...]]:
+    """One copy of gadget ``kind`` with its innermost and outermost rings."""
+    pg, places = _build_chain(kind)
+    if (pg.n, pg.m, pg.face_count) != counts:
+        raise GluingMismatch(
+            f"gadget {kind.upper()} counts {(pg.n, pg.m, pg.face_count)}, "
+            f"expected {counts}"
+        )
+    inner, outer = (
+        tuple(v for v, (level, _) in enumerate(places) if level == end)
+        for end in (0, places[-1][0])
+    )
+    return pg, inner, outer
 
 
 def gadget_a() -> Gadget:
@@ -208,14 +206,8 @@ def gadget_a() -> Gadget:
     Blue pentagon: the innermost ring (an inner face); red: the outermost
     (boundary of the outer face).
     """
-    pg, ids = _build_gadget(_RINGS_A, _gadget_a_edges())
-    if (pg.n, pg.m, pg.face_count) != (30, 60, 32):
-        raise GluingMismatch(
-            f"gadget A counts off: {(pg.n, pg.m, pg.face_count)}"
-        )
-    blue = tuple(ids[("I", j)] for j in range(5))
-    red = tuple(ids[("O", j)] for j in range(5))
-    return Gadget(plane_graph=pg, red_pentagon=red, blue_pentagon=blue)
+    pg, inner, outer = _lone_gadget("a", (30, 60, 32))
+    return Gadget(pg, red_pentagon=outer, blue_pentagon=inner)
 
 
 def gadget_b() -> Gadget:
@@ -223,56 +215,73 @@ def gadget_b() -> Gadget:
 
     Red pentagon: the innermost ring; blue: the outermost.
     """
-    pg, ids = _build_gadget(_RINGS_B, _gadget_b_edges())
-    if (pg.n, pg.m, pg.face_count) != (50, 100, 52):
-        raise GluingMismatch(
-            f"gadget B counts off: {(pg.n, pg.m, pg.face_count)}"
-        )
-    red = tuple(ids[("P", j)] for j in range(5))
-    blue = tuple(ids[("X", j)] for j in range(5))
-    return Gadget(plane_graph=pg, red_pentagon=red, blue_pentagon=blue)
+    pg, inner, outer = _lone_gadget("b", (50, 100, 52))
+    return Gadget(pg, red_pentagon=inner, blue_pentagon=outer)
 
 
 @dataclass(frozen=True)
 class SkeletonGraph:
-    """A glued chain of gadget copies plus its drawing coordinates."""
+    """A glued chain of gadget copies."""
 
     plane_graph: PlaneGraph
     k: int
-    coordinates: tuple[tuple[float, float], ...]
 
     def triangle_face_ids(self) -> tuple[int, ...]:
         return self.plane_graph.triangle_faces()
 
 
-CopyKey = tuple[str, int]  # ("a", i) or ("b", i)
-VertexKey = tuple[str, int, str, int]  # (kind, i, ring, index)
+Place = tuple[int, int]  # (global ring level, angle in [0, 360))
 
 
-def _canonical_key(kind: str, i: int, ring: str, idx: int) -> VertexKey:
-    # Junction identifications: the inner pentagon of each copy is the
-    # outer pentagon of the copy it is glued onto.
-    if kind == "b" and ring == "P":
-        return ("a", i - 1, "O", idx)
-    if kind == "a" and i >= 1 and ring == "I":
-        return ("b", i, "X", idx)
-    return (kind, i, ring, idx)
+def _build_chain(kinds: str) -> tuple[PlaneGraph, list[Place]]:
+    """Glue copies of the gadgets named in ``kinds`` ("a" or "b"), from
+    the innermost outwards; returns the graph and the place of each vertex.
+
+    Each copy's innermost ring takes the level, and so the places, of the
+    previous copy's outermost ring: sharing places is the gluing.
+    """
+    ids: dict[Place, int] = {}
+    neighbors: list[set[int]] = []
+    level = 0
+    for kind in kinds:
+        if kind == "a":
+            rings, pairs = _RINGS_A, _gadget_a_edges()
+        else:
+            rings, pairs = _RINGS_B, _gadget_b_edges()
+        place: dict[RingVertex, Place] = {}
+        for level, (name, (count, offset, step)) in enumerate(
+            rings.items(), start=level
+        ):
+            for j in range(count):
+                place[name, j] = (level, (offset + step * j) % 360)
+                if place[name, j] not in ids:
+                    ids[place[name, j]] = len(ids)
+                    neighbors.append(set())
+        for end1, end2 in pairs:
+            u, v = ids[place[end1]], ids[place[end2]]
+            neighbors[u].add(v)
+            neighbors[v].add(u)
+    places = list(ids)
+    rows = [
+        sorted(ws, key=lambda w: _ccw_key(places[v], places[w]))
+        for v, ws in enumerate(neighbors)
+    ]
+    return PlaneGraph(len(rows), rows), places
 
 
-def _copy_scale(kind: str, i: int) -> float:
-    if kind == "a":
-        return 36.0**i
-    return 6.0 * 36.0 ** (i - 1)
+def _ccw_key(v: Place, w: Place) -> tuple[int, int]:
+    """Sort key that puts v's neighbors in counterclockwise order.
 
-
-def _ring_table(kind: str) -> dict[str, tuple[int, float, float, float]]:
-    return _RINGS_A if kind == "a" else _RINGS_B
-
-
-def _vertex_coord(key: VertexKey) -> tuple[float, float]:
-    kind, i, ring, idx = key
-    _, radius, offset, step = _ring_table(kind)[ring]
-    return _point(_copy_scale(kind, i) * radius, offset + step * idx)
+    With d the angle from v to w in [-180, 180), a row lists: neighbors on
+    outer rings by decreasing d, the same-ring neighbor with d < 0,
+    neighbors on inner rings by increasing d, the same-ring one with d > 0.
+    """
+    d = (w[1] - v[1] + 180) % 360 - 180
+    if w[0] > v[0]:
+        return (0, -d)
+    if w[0] < v[0]:
+        return (2, d)
+    return (1 if d < 0 else 3, 0)
 
 
 def build_skeleton(k: int) -> SkeletonGraph:
@@ -280,30 +289,9 @@ def build_skeleton(k: int) -> SkeletonGraph:
     gadget B; validates every structural invariant before returning."""
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    copies: list[CopyKey] = [("a", 0)]
-    for i in range(1, k + 1):
-        copies.append(("b", i))
-        copies.append(("a", i))
-
-    ids: dict[VertexKey, int] = {}
-    coords: list[tuple[float, float]] = []
-    edge_set: set[Edge] = set()
-    for kind, i in copies:
-        for name, (count, _, _, _) in _ring_table(kind).items():
-            for j in range(count):
-                key = _canonical_key(kind, i, name, j)
-                if key not in ids:
-                    ids[key] = len(coords)
-                    coords.append(_vertex_coord(key))
-        pairs = _gadget_a_edges() if kind == "a" else _gadget_b_edges()
-        for (r1, j1), (r2, j2) in pairs:
-            u = ids[_canonical_key(kind, i, r1, j1)]
-            v = ids[_canonical_key(kind, i, r2, j2)]
-            edge_set.add(normalize_edge(u, v))
-
-    pg = from_coordinates(coords, sorted(edge_set))
+    pg, _ = _build_chain("a" + "ba" * k)
     _validate_skeleton(pg, k)
-    return SkeletonGraph(plane_graph=pg, k=k, coordinates=tuple(coords))
+    return SkeletonGraph(plane_graph=pg, k=k)
 
 
 def _validate_skeleton(pg: PlaneGraph, k: int) -> None:
@@ -324,35 +312,43 @@ def _validate_skeleton(pg: PlaneGraph, k: int) -> None:
         raise GluingMismatch(f"skeleton k={k} contains a 4-cycle")
 
 
-def _centroid(points: list[tuple[float, float]]) -> tuple[float, float]:
-    xs = sum(p[0] for p in points) / len(points)
-    ys = sum(p[1] for p in points) / len(points)
-    return (xs, ys)
+def _plant(rows: list[list[int]], walk: tuple[int, int, int]) -> int:
+    """Add a vertex p inside the triangular face with walk x -> y -> z.
+
+    p enters each corner's row right after the walk's predecessor at that
+    corner and gets the row [y, x, z], which splits the face into the
+    triangles x -> y -> p, y -> z -> p and z -> x -> p.  Returns p.
+    """
+    p = len(rows)
+    x, y, z = walk
+    for before, corner, after in ((z, x, y), (x, y, z), (y, z, x)):
+        row = rows[corner]
+        i = row.index(before) + 1 if before in row else 0
+        if i == 0 or row[i % len(row)] != after:
+            raise GluingMismatch(f"no wedge {before}, {after} at {corner}")
+        row.insert(i, p)
+    rows.append([y, x, z])
+    return p
 
 
 def substitute_b5a(skeleton: SkeletonGraph) -> PlaneGraph:
     """Plant two vertices inside every triangle face of the skeleton.
 
-    For a triangle with corners a < b < c: u sits at the centroid joined
-    to a, b, c; v sits at the centroid of b, c, u joined to b, c, u.  Each
+    u goes into the triangle and is joined to its three corners; v goes
+    into the new triangle on u and the two corners other than the
+    smallest.  Planting splices rotation rows (see :func:`_plant`).  Each
     triangle becomes a 5-vertex, 9-edge block whose contribution to the
     45/17 target is exactly zero.
     """
     pg = skeleton.plane_graph
-    coords = list(skeleton.coordinates)
-    edges: set[Edge] = set(pg.graph.edges)
+    rows = [list(row) for row in pg.rotation]
     for fid in pg.triangle_faces():
-        corners = sorted(set(pg.faces[fid].vertices()))
-        a, b, c = corners
-        u = len(coords)
-        coords.append(_centroid([coords[a], coords[b], coords[c]]))
-        v = len(coords)
-        coords.append(_centroid([coords[b], coords[c], coords[u]]))
-        edges.update(
-            normalize_edge(*pair)
-            for pair in ((u, a), (u, b), (u, c), (v, b), (v, c), (v, u))
-        )
-    result = from_coordinates(coords, sorted(edges))
+        walk = pg.faces[fid].vertices()
+        i = walk.index(min(walk))
+        a, b, c = walk[i:] + walk[:i]  # a is the smallest corner
+        u = _plant(rows, (a, b, c))
+        _plant(rows, (b, c, u))
+    result = PlaneGraph(len(rows), rows)
     k = skeleton.k
     expected = (170 * k + 70, 450 * k + 180)
     if (result.n, result.m) != expected:
@@ -376,6 +372,7 @@ class ExtremalReport:
     all_g_zero: bool
     bound_equality: bool
     certificate: Certificate
+    plane_graph: PlaneGraph
 
     @property
     def failures(self) -> tuple[str, ...]:
@@ -439,4 +436,5 @@ def verify_extremal(k: int, check_freeness: bool = True) -> ExtremalReport:
         all_g_zero=all_g_zero,
         bound_equality=bound_equality,
         certificate=cert,
+        plane_graph=graph,
     )

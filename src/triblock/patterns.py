@@ -66,7 +66,9 @@ def theta_pattern(k: int, d: int) -> Graph:
 
 
 def theta_family(k: int) -> tuple[Graph, ...]:
-    """All theta graphs on a k-cycle, one per chord distance."""
+    """All theta graphs on a k-cycle, one per chord distance; k >= 4."""
+    if k < 4:
+        raise ValueError(f"theta patterns need a cycle of length >= 4, got k={k}")
     return tuple(theta_pattern(k, d) for d in range(2, k // 2 + 1))
 
 

@@ -9,6 +9,7 @@ import pytest
 from conftest import antiprism_graph, embed, k5_minus_edge_with_pendant
 from triblock.catalog import catalog_plane_graph
 from triblock.cli import main, resolve_patterns
+from triblock.constructions import build_skeleton
 from triblock.plane_graph import format_planegraph, parse_planegraph
 
 
@@ -38,6 +39,8 @@ USAGE_ERRORS = [
     ["oracle", "--n", "0", "--pattern", "theta6-2"],
     ["oracle", "--n", "-3", "--pattern", "theta6-2"],
     ["oracle", "--n", "5", "--pattern", "theta6-2", "--jobs", "0"],
+    ["oracle", "--n", "5", "--pattern", "theta-family:3"],
+    ["check-free", "--pattern", "theta-family:3"],
 ]
 
 
@@ -56,7 +59,14 @@ def test_resolve_patterns():
     ]
     from triblock.cli import PatternNameError
 
-    for bad in ("theta6-3", "theta:3:2", "theta:6:9", "wheel", "theta:x:y"):
+    for bad in (
+        "theta6-3",
+        "theta:3:2",
+        "theta:6:9",
+        "wheel",
+        "theta:x:y",
+        "theta-family:3",
+    ):
         with pytest.raises(PatternNameError):
             resolve_patterns(bad)
 
@@ -107,12 +117,26 @@ def test_decompose_reads_stdin(capsys, monkeypatch, tmp_path):
     assert data["counts_by_label"] == {"B4a": 1}
 
 
-def test_decompose_rejects_garbage(capsys, tmp_path):
+def test_decompose_rejects_garbage(capsys, monkeypatch, tmp_path):
     bad = tmp_path / "bad.pg"
     bad.write_text("planegraph 1\n2 9\n0: 1\n1: 0\n", encoding="utf-8")
     assert main(["decompose", str(bad)]) == 3
     assert main(["decompose", str(tmp_path / "missing.pg")]) == 3
     capsys.readouterr()
+    not_utf8 = tmp_path / "not_utf8.pg"
+    not_utf8.write_bytes(b"\xff\xfe")
+    for argv in (
+        ["decompose", str(not_utf8)],
+        ["certify", str(not_utf8), "--target", "theta6-1"],
+        ["check-free", str(not_utf8), "--pattern", "theta6-1"],
+        ["export", str(not_utf8)],
+    ):
+        assert main(argv) == 3, argv
+        assert "error:" in capsys.readouterr().err, argv
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert main(["decompose"]) == 3
+    assert "error:" in capsys.readouterr().err
 
 
 def test_certify_b6(capsys, tmp_path):
@@ -204,6 +228,25 @@ def test_construct_verify_json(capsys):
     code, data = run_json(capsys, ["construct", "--k", "0", "--verify", "--json"])
     assert code == 0
     assert data["ok"] is True and data["failures"] == []
+
+
+def test_construct_verify_writes_the_member_it_checked(
+    capsys, monkeypatch, tmp_path
+):
+    builds = []
+
+    def counting_build(k):
+        builds.append(k)
+        return build_skeleton(k)
+
+    monkeypatch.setattr("triblock.constructions.build_skeleton", counting_build)
+    monkeypatch.setattr("triblock.cli.build_skeleton", counting_build)
+    out = tmp_path / "extremal0.pg"
+    assert main(["construct", "--k", "0", "--verify", "--out", str(out)]) == 0
+    capsys.readouterr()
+    pg = parse_planegraph(out.read_text(encoding="utf-8"))
+    assert (pg.n, pg.m) == (70, 180)
+    assert builds == [0]
 
 
 def test_construct_rejects_negative_k(capsys):

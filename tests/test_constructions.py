@@ -5,6 +5,7 @@ import pytest
 from triblock.constructions import (
     Gadget,
     GluingMismatch,
+    _plant,
     build_skeleton,
     gadget_a,
     gadget_b,
@@ -81,7 +82,7 @@ def test_gadget_rejects_fake_pentagon():
         )
 
 
-@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2, 199])
 def test_skeleton_counts(k: int):
     skeleton = build_skeleton(k)
     pg = skeleton.plane_graph
@@ -118,6 +119,16 @@ def test_substitution_counts(k: int):
     assert lengths.count(3) == 5 * (50 * k + 20)
     assert lengths.count(5) == 30 * k + 12
     assert lengths.count(3) + lengths.count(5) == len(lengths)
+
+
+def test_planting_needs_the_walk_of_a_face():
+    # Reversed, a triangle's walk bounds no face (a pentagon lies across
+    # each of its edges), so some corner lacks the wedge to splice into.
+    pg = build_skeleton(0).plane_graph
+    x, y, z = pg.faces[pg.triangle_faces()[0]].vertices()
+    rows = [list(row) for row in pg.rotation]
+    with pytest.raises(GluingMismatch):
+        _plant(rows, (x, z, y))
 
 
 def test_substitution_hits_the_bound_exactly():
@@ -166,3 +177,9 @@ def test_skeleton_extends_the_previous_one():
     small = build_skeleton(0).plane_graph
     large = build_skeleton(1).plane_graph
     assert small.graph.edges <= large.graph.edges
+    # Off the outer ring, where the next copy is glued on, the embedding
+    # is untouched too: every rotation row stays exactly as it was.
+    outer = set(gadget_a().red_pentagon)
+    for v in range(small.n):
+        if v not in outer:
+            assert large.rotation[v] == small.rotation[v], v
