@@ -1,167 +1,43 @@
 """Triangular-block decompositions of plane graphs, exact contribution
 certificates for two planar Turán-type bounds, matching extremal
-constructions, and an exhaustive small-graph oracle."""
+constructions, and an exhaustive small-graph oracle.
 
-from .blocks import (
-    B5cFrame,
-    Decomposition,
-    DecompositionError,
-    NotB5c,
-    TriangularBlock,
-    canonical_b5c_frame,
-    classify,
-    decompose,
-)
-from .catalog import (
-    CATALOG_LABELS,
-    catalog_graph,
-    catalog_plane_graph,
-    labels_by_size,
-)
-from .constructions import (
-    ExtremalReport,
-    Gadget,
-    GluingMismatch,
-    SkeletonGraph,
-    build_skeleton,
-    gadget_a,
-    gadget_b,
-    substitute_b5a,
-    verify_extremal,
-)
-from .contribution import (
-    BoundSpec,
-    Certificate,
-    Cluster,
-    ClusterConflict,
-    DecompositionAnomaly,
-    MalformedNeighborhood,
-    SPECS,
-    THETA6_1_SPEC,
-    THETA6_2_SPEC,
-    TooSmall,
-    certify,
-    edge_contribution,
-    face_contribution,
-    form_clusters,
-    g_eval,
-    get_spec,
-)
-from .oracle import (
-    CapExceeded,
-    OracleResult,
-    is_planar,
-    max_edges,
-    planar_by_embedding_search,
-)
+The package namespace holds the names a whole-pipeline caller needs; the
+rest lives in the submodules (``triblock.plane_graph``, ``triblock.blocks``,
+``triblock.catalog``, ``triblock.contribution``, ``triblock.constructions``,
+``triblock.patterns``, ``triblock.oracle``)."""
+
+from .blocks import decompose
+from .constructions import build_skeleton, substitute_b5a
+from .contribution import certify, get_spec
+from .oracle import max_edges, planar_by_embedding_search
 from .patterns import (
-    EmbeddingWitness,
-    KERNEL_NAME,
     THETA6_1,
     THETA6_2,
+    EmbeddingWitness,
     brute_force_contains,
     contains_subgraph,
-    contains_subgraph_using_edge,
-    cycle_graph,
     is_free,
-    is_free_of_all,
-    isomorphic,
-    theta_family,
-    theta_pattern,
 )
-from .plane_graph import (
-    AmbiguousLayout,
-    Dart,
-    DisconnectedGraph,
-    Edge,
-    Face,
-    FormatError,
-    Graph,
-    InconsistentRotation,
-    NonPlanarEmbedding,
-    PlaneGraph,
-    PlaneGraphError,
-    build_plane_graph,
-    export_dot,
-    format_planegraph,
-    from_coordinates,
-    normalize_edge,
-    parse_planegraph,
-)
+from .plane_graph import Graph, format_planegraph, parse_planegraph
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousLayout",
-    "B5cFrame",
-    "BoundSpec",
-    "CATALOG_LABELS",
-    "CapExceeded",
-    "Certificate",
-    "Cluster",
-    "ClusterConflict",
-    "Dart",
-    "Decomposition",
-    "DecompositionAnomaly",
-    "DecompositionError",
-    "DisconnectedGraph",
-    "Edge",
     "EmbeddingWitness",
-    "ExtremalReport",
-    "Face",
-    "FormatError",
-    "Gadget",
-    "GluingMismatch",
     "Graph",
-    "InconsistentRotation",
-    "KERNEL_NAME",
-    "MalformedNeighborhood",
-    "NonPlanarEmbedding",
-    "NotB5c",
-    "OracleResult",
-    "PlaneGraph",
-    "PlaneGraphError",
-    "SPECS",
-    "SkeletonGraph",
     "THETA6_1",
-    "THETA6_1_SPEC",
     "THETA6_2",
-    "THETA6_2_SPEC",
-    "TooSmall",
-    "TriangularBlock",
     "brute_force_contains",
-    "build_plane_graph",
     "build_skeleton",
-    "canonical_b5c_frame",
-    "catalog_graph",
-    "catalog_plane_graph",
     "certify",
-    "classify",
     "contains_subgraph",
-    "contains_subgraph_using_edge",
-    "cycle_graph",
     "decompose",
-    "edge_contribution",
-    "export_dot",
-    "face_contribution",
-    "form_clusters",
     "format_planegraph",
-    "from_coordinates",
-    "g_eval",
-    "gadget_a",
-    "gadget_b",
     "get_spec",
     "is_free",
-    "is_free_of_all",
-    "is_planar",
-    "isomorphic",
-    "labels_by_size",
     "max_edges",
-    "normalize_edge",
     "parse_planegraph",
     "planar_by_embedding_search",
     "substitute_b5a",
-    "theta_family",
-    "theta_pattern",
-    "verify_extremal",
 ]

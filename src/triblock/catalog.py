@@ -1,14 +1,16 @@
 """The nine-entry triangular-block catalog.
 
-Abstract graphs plus a standard plane embedding for each entry.  The two
-five-vertex/eight-edge entries differ as abstract graphs (K5 minus two
-disjoint edges vs. K5 minus two adjacent edges), so isomorphism against
-this list classifies every block that has a catalog shape.
+Each entry is stored once, as the rotation rows of its standard plane
+embedding (counterclockwise neighbors of every vertex); the abstract graph
+is read off the rows.  The two five-vertex/eight-edge entries differ as
+abstract graphs (K5 minus two disjoint edges vs. K5 minus two adjacent
+edges), so isomorphism against this list classifies every block that has a
+catalog shape.
 """
 
 from __future__ import annotations
 
-from .plane_graph import Graph, PlaneGraph, from_coordinates
+from .plane_graph import Graph, PlaneGraph
 
 __all__ = [
     "CATALOG_COUNTS",
@@ -31,135 +33,55 @@ CATALOG_LABELS: tuple[str, ...] = (
     "B6",
 )
 
-_EDGES: dict[str, tuple[int, tuple[tuple[int, int], ...]]] = {
+_ROTATIONS: dict[str, tuple[tuple[int, ...], ...]] = {
     # single edge (the trivial block)
-    "B2": (2, ((0, 1),)),
+    "B2": ((1,), (0,)),
     # triangle
-    "B3": (3, ((0, 1), (1, 2), (0, 2))),
+    "B3": ((1, 2), (2, 0), (0, 1)),
     # K4
-    "B4a": (4, ((0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 3))),
+    "B4a": ((1, 3, 2), (2, 3, 0), (0, 3, 1), (1, 2, 0)),
     # 4-cycle plus one chord
-    "B4b": (4, ((0, 1), (1, 2), (2, 3), (0, 3), (0, 2))),
-    # K5 minus one edge: triangle 0-1-2, vertex 3 joined to 0,1,2,
-    # vertex 4 joined to 1,2,3
-    "B5a": (
-        5,
-        (
-            (0, 1),
-            (0, 2),
-            (1, 2),
-            (0, 3),
-            (1, 3),
-            (2, 3),
-            (1, 4),
-            (2, 4),
-            (3, 4),
-        ),
-    ),
+    "B4b": ((3, 2, 1), (2, 0), (1, 0, 3), (2, 0)),
+    # K5 minus one edge: outer triangle 0-1-2, vertex 3 inside it joined to
+    # 0,1,2, vertex 4 inside triangle 1-2-3: all six faces are triangles
+    "B5a": ((1, 3, 2), (2, 4, 3, 0), (0, 3, 4, 1), (1, 4, 2, 0), (1, 2, 3)),
     # wheel: 4-cycle 0-1-2-3 with hub 4
-    "B5b": (
-        5,
-        (
-            (0, 1),
-            (1, 2),
-            (2, 3),
-            (0, 3),
-            (0, 4),
-            (1, 4),
-            (2, 4),
-            (3, 4),
-        ),
-    ),
+    "B5b": ((3, 4, 1), (4, 2, 0), (1, 4, 3), (2, 4, 0), (3, 2, 1, 0)),
     # 4-cycle 0-1-2-3, diagonal 0-2, apex 4 joined to 0,1,2
-    "B5c": (
-        5,
-        (
-            (0, 1),
-            (1, 2),
-            (2, 3),
-            (0, 3),
-            (0, 2),
-            (0, 4),
-            (1, 4),
-            (2, 4),
-        ),
-    ),
+    "B5c": ((3, 2, 4, 1), (2, 0, 4), (1, 4, 0, 3), (2, 0), (2, 1, 0)),
     # 5-cycle 0-1-2-3-4 with chords 0-2 and 0-3
-    "B5d": (
-        5,
-        ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (0, 3)),
-    ),
+    "B5d": ((1, 2, 3, 4), (2, 0), (3, 0, 1), (4, 0, 2), (3, 0)),
     # hexagon 0..5 with the inscribed triangle 0-2-4
-    "B6": (
-        6,
-        (
-            (0, 1),
-            (1, 2),
-            (2, 3),
-            (3, 4),
-            (4, 5),
-            (0, 5),
-            (0, 2),
-            (2, 4),
-            (0, 4),
-        ),
-    ),
-}
-
-_LAYOUTS: dict[str, tuple[tuple[float, float], ...]] = {
-    "B2": ((0.0, 0.0), (1.0, 0.0)),
-    "B3": ((0.0, 1.0), (-1.0, -1.0), (1.0, -1.0)),
-    "B4a": ((0.0, 2.0), (-2.0, -1.0), (2.0, -1.0), (0.0, 0.0)),
-    "B4b": ((0.0, 1.0), (1.0, 0.0), (0.0, -1.0), (-1.0, 0.0)),
-    # outer triangle 0-1-2, vertex 3 at its centroid, vertex 4 at the
-    # centroid of triangle 1-2-3: all six faces come out triangular
-    "B5a": (
-        (0.0, 2.0),
-        (-2.0, -1.0),
-        (2.0, -1.0),
-        (0.0, 0.0),
-        (0.0, -2.0 / 3.0),
-    ),
-    "B5b": ((-1.0, 1.0), (1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (0.0, 0.0)),
-    "B5c": ((0.0, 1.0), (1.0, 0.0), (0.0, -1.0), (-1.0, 0.0), (0.4, 0.0)),
-    "B5d": (
-        (0.0, 1.0),
-        (-0.951, 0.309),
-        (-0.588, -0.809),
-        (0.588, -0.809),
-        (0.951, 0.309),
-    ),
-    "B6": (
-        (1.0, 0.0),
-        (0.5, 0.866),
-        (-0.5, 0.866),
-        (-1.0, 0.0),
-        (-0.5, -0.866),
-        (0.5, -0.866),
-    ),
+    "B6": ((4, 5, 1, 2), (0, 2), (3, 4, 0, 1), (4, 2), (5, 0, 2, 3), (0, 4)),
 }
 
 #: label -> (vertex count, edge count)
 CATALOG_COUNTS: dict[str, tuple[int, int]] = {
-    label: (n, len(edges)) for label, (n, edges) in _EDGES.items()
+    label: (len(rows), sum(map(len, rows)) // 2)
+    for label, rows in _ROTATIONS.items()
 }
+
+
+def _rows(label: str) -> tuple[tuple[int, ...], ...]:
+    try:
+        return _ROTATIONS[label]
+    except KeyError:
+        raise KeyError(f"unknown catalog label {label!r}") from None
 
 
 def catalog_graph(label: str) -> Graph:
     """The abstract catalog graph for a label."""
-    try:
-        n, edges = _EDGES[label]
-    except KeyError:
-        raise KeyError(f"unknown catalog label {label!r}") from None
-    return Graph.from_edges(n, edges)
+    rows = _rows(label)
+    return Graph.from_edges(
+        len(rows), ((v, w) for v, row in enumerate(rows) for w in row if v < w)
+    )
 
 
 def catalog_plane_graph(label: str) -> PlaneGraph:
-    """The standard plane embedding of a catalog graph (bounded faces drawn
-    as in the usual figures: every bounded face of a non-trivial entry is a
-    triangle)."""
-    n, edges = _EDGES[label]
-    return from_coordinates(_LAYOUTS[label], edges)
+    """The standard plane embedding of a catalog graph (as in the usual
+    figures: every bounded face of a non-trivial entry is a triangle)."""
+    rows = _rows(label)
+    return PlaneGraph(len(rows), rows)
 
 
 def labels_by_size(n: int, m: int) -> tuple[str, ...]:

@@ -5,14 +5,17 @@ catalog.  Input graphs are read in the native planegraph format (from a
 file argument, or stdin when the argument is "-" or omitted), so commands
 compose in pipelines.  Exit codes: 0 success / bound holds, 1 usage
 error, 2 certification found a positive cluster or a pattern copy was
-found, 3 structural or format errors.  Output is deterministic; the only
-timing field is the explicitly labeled ``elapsed_seconds`` of the oracle.
+found, 3 structural or format errors.  A reader that closes the pipe early
+(``triblock decompose g.pg | head -1``) ends the command quietly with exit
+0.  Output is deterministic; the only timing field is the explicitly
+labeled ``elapsed_seconds`` of the oracle.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -459,7 +462,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader stopped early; send the unflushed rest to devnull so the
+        # interpreter's final flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (PatternNameError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -50,6 +50,14 @@ __all__ = [
 ]
 
 
+#: Largest n that max_edges sweeps without ``force``.
+_N_CAP = 8
+#: At most this many extremal graphs are kept as witnesses.
+_WITNESS_CAP = 100
+#: canonical_edges tries at most this many relabelings.
+_RELABELING_BUDGET = 10**6
+
+
 class CapExceeded(ValueError):
     """The requested n exceeds the safety cap (the search is exponential)."""
 
@@ -138,14 +146,14 @@ def _dedup_level(n: int, children: list[tuple[Edge, ...]]) -> list[Graph]:
     return reps
 
 
-def canonical_edges(g: Graph, budget: int = 10**6) -> tuple[Edge, ...]:
+def canonical_edges(g: Graph) -> tuple[Edge, ...]:
     """Lexicographically minimal edge tuple over relabelings that respect
     the (degree, sorted neighbor degrees) classes.
 
     The class signature is isomorphism-invariant, so isomorphic graphs get
     identical canonical tuples.  Falls back to the identity labeling when
-    the class structure admits more than ``budget`` relabelings (never the
-    case at oracle sizes).
+    the class structure admits more than ``_RELABELING_BUDGET``
+    relabelings (never the case at oracle sizes).
     """
     adj = g.adjacency()
     sig = {
@@ -156,7 +164,8 @@ def canonical_edges(g: Graph, budget: int = 10**6) -> tuple[Edge, ...]:
     for v in range(g.n):
         classes.setdefault(sig[v], []).append(v)
     ordered = [classes[key] for key in sorted(classes)]
-    if math.prod(math.factorial(len(c)) for c in ordered) > budget:
+    relabelings = math.prod(math.factorial(len(c)) for c in ordered)
+    if relabelings > _RELABELING_BUDGET:
         return tuple(sorted(g.edges))
     best: tuple[Edge, ...] | None = None
     for combo in itertools.product(
@@ -206,9 +215,7 @@ def max_edges(
     *,
     pattern_name: str = "pattern",
     jobs: int = 1,
-    cap: int = 8,
     force: bool = False,
-    witness_cap: int = 100,
 ) -> OracleResult:
     """Exhaustively determine the maximum edge count and the extremal
     graphs.  A tuple of patterns means "free of all of them".  ``jobs`` is
@@ -221,9 +228,9 @@ def max_edges(
         raise ValueError(f"n must be positive, got {n}")
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
-    if n > cap and not force:
+    if n > _N_CAP and not force:
         raise CapExceeded(
-            f"n={n} exceeds the cap of {cap}; the sweep is exponential. "
+            f"n={n} exceeds the cap of {_N_CAP}; the sweep is exponential. "
             "Pass force=True (or --force) to run it anyway."
         )
     jobs = min(jobs, os.cpu_count() or 1)  # more workers than cores only thrash
@@ -249,7 +256,7 @@ def max_edges(
         level = next_level
         level_sizes.append(len(next_level))
 
-    witnesses = sorted({canonical_edges(g) for g in level})[:witness_cap]
+    witnesses = sorted({canonical_edges(g) for g in level})[:_WITNESS_CAP]
     for edges in witnesses:  # self-audit through the public predicates
         w = Graph.from_edges(n, edges)
         if not is_planar(w) or not all(is_free(w, p) for p in patterns):

@@ -1,8 +1,9 @@
 """Connected simple plane graphs represented by rotation systems.
 
 A plane graph is given by a counterclockwise cyclic order of neighbors at
-every vertex.  Faces are derived by dart tracing: the successor of the dart
-(u, v) is (v, w) where w immediately follows u in the rotation at v.  A
+every vertex, and nothing else: a dart is the plain pair (tail, head).
+Faces are derived by dart tracing: the successor of the dart (u, v) is
+(v, w) where w immediately follows u in the rotation at v.  A
 rotation system is accepted only if the traced face count satisfies Euler's
 formula n - m + f = 2, i.e. it describes a genus-zero (planar) embedding of
 a connected graph.
@@ -20,11 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "AmbiguousLayout",
-    "Dart",
     "DisconnectedGraph",
     "Face",
     "FormatError",
@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 Edge = tuple[int, int]
+Dart = tuple[int, int]  # (tail, head); each edge yields two darts
 
 FORMAT_MAGIC = "planegraph 1"
 
@@ -156,20 +157,6 @@ class Graph:
         return self.n > 0 and len(self.components()) == 1
 
 
-class Dart(NamedTuple):
-    """A directed traversal of an edge; each edge yields two darts."""
-
-    tail: int
-    head: int
-
-    def reversed(self) -> "Dart":
-        return Dart(self.head, self.tail)
-
-    @property
-    def edge(self) -> Edge:
-        return normalize_edge(self.tail, self.head)
-
-
 @dataclass(frozen=True)
 class Face:
     """One face of the embedding.
@@ -196,7 +183,7 @@ class Face:
         return len(self.walk) == 3
 
     def vertices(self) -> tuple[int, ...]:
-        return tuple(d.tail for d in self.walk)
+        return tuple(tail for tail, _ in self.walk)
 
 
 class PlaneGraph:
@@ -206,7 +193,7 @@ class PlaneGraph:
     and safe to share between worker processes.
     """
 
-    __slots__ = ("graph", "rotation", "faces", "_dart_face", "_neighbor_pos")
+    __slots__ = ("graph", "rotation", "faces", "_dart_face", "_position")
 
     graph: Graph
     rotation: tuple[tuple[int, ...], ...]
@@ -223,48 +210,55 @@ class PlaneGraph:
                 f"expected {n} rotation rows, got {len(rotations)}"
             )
         rotation = tuple(tuple(int(w) for w in row) for row in rotations)
+        # The one dart index, (v, w) -> position of w in v's row.  Its keys
+        # run in row order, which fixes the face indices below.
+        position: dict[Dart, int] = {}
         for v, row in enumerate(rotation):
-            seen: set[int] = set()
-            for w in row:
+            for i, w in enumerate(row):
                 if w == v:
                     raise InconsistentRotation(f"loop at vertex {v}")
                 if not 0 <= w < n:
                     raise InconsistentRotation(
                         f"vertex {v} lists out-of-range neighbor {w}"
                     )
-                if w in seen:
+                if (v, w) in position:
                     raise InconsistentRotation(
                         f"vertex {v} lists neighbor {w} twice"
                     )
-                seen.add(w)
-        for v, row in enumerate(rotation):
-            for w in row:
-                if v not in rotation[w]:
-                    raise InconsistentRotation(
-                        f"vertex {v} lists {w} but {w} does not list {v}"
-                    )
+                position[v, w] = i
+        for v, w in position:
+            if (w, v) not in position:
+                raise InconsistentRotation(
+                    f"vertex {v} lists {w} but {w} does not list {v}"
+                )
 
-        edges = frozenset(
-            normalize_edge(v, w) for v, row in enumerate(rotation) for w in row
-        )
-        graph = Graph(n, edges)
+        graph = Graph(n, frozenset(d for d in position if d[0] < d[1]))
         if not graph.is_connected():
             raise DisconnectedGraph(f"graph on {n} vertices is not connected")
 
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "rotation", rotation)
-        neighbor_pos: dict[Dart, int] = {}
-        for v, row in enumerate(rotation):
-            for i, w in enumerate(row):
-                neighbor_pos[Dart(v, w)] = i
-        object.__setattr__(self, "_neighbor_pos", neighbor_pos)
+        object.__setattr__(self, "_position", position)
 
-        faces = tuple(self._trace_faces())
-        object.__setattr__(self, "faces", faces)
+        # Trace every face from its first dart in row order; the dart -> face
+        # map doubles as the visited set.
         dart_face: dict[Dart, int] = {}
-        for face in faces:
-            for dart in face.walk:
-                dart_face[dart] = face.index
+        faces: list[Face] = []
+        for start in position:
+            if start in dart_face:
+                continue
+            index = len(faces)
+            walk: list[Dart] = []
+            dart = start
+            while True:
+                walk.append(dart)
+                dart_face[dart] = index
+                dart = self.successor(dart)
+                if dart == start:
+                    break
+            edge_set = frozenset(normalize_edge(a, b) for a, b in walk)
+            faces.append(Face(index, tuple(walk), edge_set))
+        object.__setattr__(self, "faces", tuple(faces))
         object.__setattr__(self, "_dart_face", dart_face)
 
         f = len(faces)
@@ -279,31 +273,9 @@ class PlaneGraph:
 
     def successor(self, dart: Dart) -> Dart:
         """The next dart of the face walk containing ``dart``."""
-        row = self.rotation[dart.head]
-        i = self._neighbor_pos[Dart(dart.head, dart.tail)]
-        return Dart(dart.head, row[(i + 1) % len(row)])
-
-    def _trace_faces(self) -> Iterator[Face]:
-        visited: set[Dart] = set()
-        index = 0
-        for v, row in enumerate(self.rotation):
-            for w in row:
-                start = Dart(v, w)
-                if start in visited:
-                    continue
-                walk = [start]
-                visited.add(start)
-                dart = self.successor(start)
-                while dart != start:
-                    walk.append(dart)
-                    visited.add(dart)
-                    dart = self.successor(dart)
-                yield Face(
-                    index=index,
-                    walk=tuple(walk),
-                    edge_set=frozenset(d.edge for d in walk),
-                )
-                index += 1
+        v, w = dart
+        row = self.rotation[w]
+        return (w, row[(self._position[w, v] + 1) % len(row)])
 
     @property
     def n(self) -> int:
@@ -317,9 +289,6 @@ class PlaneGraph:
     def face_count(self) -> int:
         return len(self.faces)
 
-    def neighbors_ccw(self, v: int) -> tuple[int, ...]:
-        return self.rotation[v]
-
     def face_of_dart(self, dart: Dart) -> int:
         return self._dart_face[dart]
 
@@ -330,8 +299,8 @@ class PlaneGraph:
         darts lie on the same face walk).
         """
         u, v = edge
-        a = self._dart_face[Dart(u, v)]
-        b = self._dart_face[Dart(v, u)]
+        a = self._dart_face[u, v]
+        b = self._dart_face[v, u]
         return (a, b) if a <= b else (b, a)
 
     def triangle_faces(self) -> tuple[int, ...]:

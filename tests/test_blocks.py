@@ -82,6 +82,13 @@ def test_catalog_graphs_classify_as_themselves():
         assert [b.label for b in dec.blocks] == [label]
 
 
+def test_unknown_catalog_label_is_named():
+    with pytest.raises(KeyError, match="unknown catalog label"):
+        catalog_graph("B7")
+    with pytest.raises(KeyError, match="unknown catalog label"):
+        catalog_plane_graph("B7")
+
+
 def test_classification_is_relabeling_invariant():
     rng = random.Random(20260822)
     for label in CATALOG_LABELS:

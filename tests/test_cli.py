@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -137,6 +140,28 @@ def test_decompose_rejects_garbage(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr("sys.stdin", stdin)
     assert main(["decompose"]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_decompose_into_a_closed_pipe_exits_quietly(tmp_path):
+    # `triblock decompose g.pg | head -1`: the reader is gone before the
+    # first write, which must end the command with exit 0 and no message.
+    path = write_pg(tmp_path, "b6.pg", catalog_plane_graph("B6"))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "triblock.cli", "decompose", path],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_certify_b6(capsys, tmp_path):

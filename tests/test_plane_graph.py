@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from triblock.plane_graph import (
     AmbiguousLayout,
-    Dart,
     DisconnectedGraph,
     FormatError,
     Graph,
@@ -162,13 +161,6 @@ def test_normalize_edge_orders_endpoints(u: int, v: int):
     if u == v:
         return
     assert normalize_edge(u, v) == normalize_edge(v, u) == (min(u, v), max(u, v))
-
-
-def test_dart_reversal_and_edge():
-    d = Dart(3, 7)
-    assert d.reversed() == Dart(7, 3)
-    assert d.edge == (3, 7)
-    assert Dart(7, 3).edge == (3, 7)
 
 
 def test_graph_helpers():
