@@ -13,9 +13,21 @@ comparable across levels.
 The result does not depend on the worker count: children are collected in
 parent order, deduplicated from a sorted list by invariant buckets plus
 exact isomorphism tests, and the final witnesses are canonically
-relabeled.  Planarity goes through networkx's linear-time test; a slow
-rotation-system search (`planar_by_embedding_search`) is kept as an
-independent cross-check route and shares no code with it.
+relabeled.  One worker pool serves the whole sweep.
+
+Each child is tested for freeness (anchored on its new edge) and against
+the planar edge bound m <= 3n - 6; the full planarity test runs only on
+the representatives the deduplication keeps.  This leaves every level as
+it would be with planarity tested first: the deduplication keeps the first
+member of each isomorphism class in sorted order, planarity is a class
+invariant, so a planar class has the same members and the same first
+member either way, and dropping the non-planar representatives afterwards
+leaves the planar ones in their order.  It saves most of the planarity
+calls, since a level has a few hundred classes but thousands of children.
+
+Planarity goes through networkx's linear-time test; a slow rotation-system
+search (`planar_by_embedding_search`) is kept as an independent
+cross-check route and shares no code with it.
 """
 
 from __future__ import annotations
@@ -24,6 +36,7 @@ import itertools
 import math
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from multiprocessing import Pool
@@ -108,23 +121,27 @@ def _invariant_key(g: Graph) -> tuple:
 def _expand(
     parent_edges: tuple[Edge, ...], n: int, patterns: tuple[Graph, ...]
 ) -> tuple[list[tuple[Edge, ...]], int]:
-    """All one-edge extensions of the parent that stay planar and free.
+    """All one-edge extensions of the parent that stay free and within the
+    planar edge bound m <= 3n - 6, and the number of children examined
+    (every absent edge, whether or not the bound rejects it).
 
     The parent is known free, so any new pattern copy must use the added
-    edge; freeness is checked anchored on it.
+    edge; freeness is checked anchored on it.  The planarity test runs
+    later, on the isomorphism-class representatives only: it is a class
+    invariant, so testing the first member of a class decides them all
+    (see the module docstring).
     """
     present = set(parent_edges)
+    examined = n * (n - 1) // 2 - len(present)
+    if n >= 3 and len(present) + 1 > 3 * n - 6:
+        return [], examined
     survivors: list[tuple[Edge, ...]] = []
-    examined = 0
     for u in range(n):
         for v in range(u + 1, n):
             if (u, v) in present:
                 continue
-            examined += 1
             child_edges = tuple(sorted(present | {(u, v)}))
             child = Graph.from_edges(n, child_edges)
-            if not is_planar(child):
-                continue
             if any(
                 contains_subgraph_using_edge(child, p, (u, v))
                 for p in patterns
@@ -239,22 +256,22 @@ def max_edges(
     level_sizes = [1]
     explored = 1
     expand = partial(_expand, n=n, patterns=patterns)
-    while True:
-        parents = [tuple(sorted(g.edges)) for g in level]
-        if jobs > 1 and len(parents) > 1:
-            with Pool(jobs) as pool:
+    with Pool(jobs) if jobs > 1 else nullcontext() as pool:
+        while True:
+            parents = [tuple(sorted(g.edges)) for g in level]
+            if pool is not None and len(parents) > 1:
                 results = pool.map(
                     expand, parents, chunksize=max(1, len(parents) // (4 * jobs))
                 )
-        else:
-            results = [expand(p) for p in parents]
-        children = [c for survivors, _ in results for c in survivors]
-        explored += sum(examined for _, examined in results)
-        next_level = _dedup_level(n, children)
-        if not next_level:
-            break
-        level = next_level
-        level_sizes.append(len(next_level))
+            else:
+                results = [expand(p) for p in parents]
+            children = [c for survivors, _ in results for c in survivors]
+            explored += sum(examined for _, examined in results)
+            next_level = [g for g in _dedup_level(n, children) if is_planar(g)]
+            if not next_level:
+                break
+            level = next_level
+            level_sizes.append(len(next_level))
 
     witnesses = sorted({canonical_edges(g) for g in level})[:_WITNESS_CAP]
     for edges in witnesses:  # self-audit through the public predicates

@@ -9,6 +9,18 @@ candidates in ascending vertex order, so the first witness is
 deterministic.  Host adjacency is kept as arbitrary-precision integer
 bitmasks, which keeps the inner loop in C-speed integer ops even for hosts
 with a few hundred vertices.
+
+The kernel takes its two sides ready-made: a `_Plan` holds the pattern-only
+work (assignment order, the earlier neighbors of each position, the degree
+each position needs) and a `_Host` the host bitmasks, built once per
+containment call.  An anchored search (`contains_subgraph_using_edge`) pins
+each pattern arc onto the new host edge in turn, but skips an arc that a
+pattern automorphism maps an earlier searched arc onto: that search came
+back empty, so this one would too, and skipping it does not change which
+witness is found first.  The arcs kept, one per automorphism orbit, are
+computed once per pattern.  Plans and kept arcs are cached for at most 64
+patterns: `isomorphic` passes every graph it compares in as a pattern, so
+an unbounded cache would grow with every oracle sweep.
 """
 
 from __future__ import annotations
@@ -16,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .plane_graph import Graph, PlaneGraph, normalize_edge
 
@@ -106,78 +118,94 @@ def _host_graph(host: Graph | PlaneGraph) -> Graph:
     raise TypeError(f"expected Graph or PlaneGraph, got {type(host).__name__}")
 
 
-@lru_cache(maxsize=None)
 def _order(adj: tuple[frozenset[int], ...], fixed: tuple[int, ...]) -> tuple[int, ...]:
     """Assignment order: fixed seeds first, then greedily the vertex with
     the most already-placed neighbors (ties: higher degree, lower id)."""
-    p = len(adj)
     order = list(fixed)
-    placed = set(fixed)
-    while len(order) < p:
-        best_v = -1
-        best_key: tuple[int, int, int] | None = None
-        for v in range(p):
-            if v in placed:
-                continue
-            key = (sum(1 for w in adj[v] if w in placed), len(adj[v]), -v)
-            if best_key is None or key > best_key:
-                best_key = key
-                best_v = v
-        order.append(best_v)
-        placed.add(best_v)
+    placed_nbrs = [0] * len(adj)
+    for v in fixed:
+        for w in adj[v]:
+            placed_nbrs[w] += 1
+    rest = [v for v in range(len(adj)) if v not in fixed]
+    while rest:
+        best = max(rest, key=lambda v: (placed_nbrs[v], len(adj[v]), -v))
+        rest.remove(best)
+        order.append(best)
+        for w in adj[best]:
+            placed_nbrs[w] += 1
     return tuple(order)
 
 
+class _Plan(NamedTuple):
+    """The pattern side of one search: the assignment order, for each
+    position the earlier positions holding pattern neighbors, and the host
+    degree each position needs."""
+
+    order: tuple[int, ...]
+    earlier: tuple[tuple[int, ...], ...]
+    degrees: tuple[int, ...]
+
+
+@lru_cache(maxsize=64)
+def _plan(adj: tuple[frozenset[int], ...], fixed: tuple[int, ...]) -> _Plan:
+    order = _order(adj, fixed)
+    pos_of = [0] * len(order)
+    for i, pv in enumerate(order):
+        pos_of[pv] = i
+    earlier = tuple(
+        tuple(j for j in (pos_of[w] for w in adj[pv]) if j < i)
+        for i, pv in enumerate(order)
+    )
+    return _Plan(order, earlier, tuple(len(adj[pv]) for pv in order))
+
+
+class _Host:
+    """The host side of a search: adjacency as integer bitmasks, and
+    ``at_least[d]``, the mask of vertices with at least d neighbors."""
+
+    __slots__ = ("masks", "at_least")
+
+    def __init__(self, adj: Sequence[Sequence[int]]):
+        masks = [0] * len(adj)
+        for v, nbrs in enumerate(adj):
+            mask = 0
+            for w in nbrs:
+                mask |= 1 << w
+            masks[v] = mask
+        # A pass of its own: interleaving these short-lived n-bit integers
+        # with the masks raised the peak memory of a search on a large
+        # host (n = 6870) by about 1.5 MB.
+        at_least = [0] * (max(map(len, adj), default=0) + 1)
+        for v, nbrs in enumerate(adj):
+            at_least[len(nbrs)] |= 1 << v
+        for d in range(len(at_least) - 2, -1, -1):
+            at_least[d] |= at_least[d + 1]
+        self.masks = masks
+        self.at_least = at_least
+
+
 def _find_embedding(
-    pattern_adj: Sequence[Sequence[int]],
-    order: Sequence[int],
-    host_adj: Sequence[Sequence[int]],
-    fixed_hosts: Sequence[int] = (),
+    plan: _Plan, host: _Host, fixed_hosts: Sequence[int] = ()
 ) -> tuple[int, ...] | None:
     """Injective edge-preserving map of the pattern into the host.
 
-    ``order`` fixes the assignment sequence of pattern vertices; the first
-    ``len(fixed_hosts)`` of them are pinned to the given host vertices.
-    Returns the mapping as a tuple indexed by pattern vertex, or None.
+    ``plan.order`` fixes the assignment sequence of pattern vertices; the
+    first ``len(fixed_hosts)`` of them are pinned to the given host
+    vertices.  Returns the mapping as a tuple indexed by pattern vertex, or
+    None.
     """
-    p = len(pattern_adj)
-    hn = len(host_adj)
+    order, earlier, degrees = plan
+    p = len(order)
     if p == 0:
         return ()
-    if p > hn:
+    masks, at_least = host.masks, host.at_least
+    if p > len(masks) or max(degrees) >= len(at_least):
         return None
 
-    masks = [0] * hn
-    for v, nbrs in enumerate(host_adj):
-        mask = 0
-        for w in nbrs:
-            mask |= 1 << w
-        masks[v] = mask
-    host_degs = [len(nbrs) for nbrs in host_adj]
-
-    pos_of = [0] * p
-    for i, pv in enumerate(order):
-        pos_of[pv] = i
-    # For each position, the earlier positions holding pattern neighbors.
-    earlier: list[tuple[int, ...]] = []
-    for i, pv in enumerate(order):
-        earlier.append(tuple(j for j in (pos_of[w] for w in pattern_adj[pv]) if j < i))
-
     # Static per-position candidate filters: host degree and pinning.
-    allowed = [0] * p
-    degree_masks: dict[int, int] = {}
-    for i, pv in enumerate(order):
-        d = len(pattern_adj[pv])
-        mask = degree_masks.get(d)
-        if mask is None:
-            mask = 0
-            for v in range(hn):
-                if host_degs[v] >= d:
-                    mask |= 1 << v
-            degree_masks[d] = mask
-        if i < len(fixed_hosts):
-            mask &= 1 << fixed_hosts[i]
-        allowed[i] = mask
+    allowed = [at_least[d] for d in degrees]
+    for i, v in enumerate(fixed_hosts):
+        allowed[i] &= 1 << v
 
     cand = [0] * p
     assigned = [0] * p
@@ -220,9 +248,32 @@ def contains_subgraph(
     hg = _host_graph(host)
     if pattern.n > hg.n or pattern.m > hg.m:
         return None
-    adj = pattern.adjacency()
-    mapping = _find_embedding(adj, _order(adj, ()), hg.adjacency())
+    mapping = _find_embedding(_plan(pattern.adjacency(), ()), _Host(hg.adjacency()))
     return None if mapping is None else EmbeddingWitness(mapping)
+
+
+@lru_cache(maxsize=64)
+def _anchored_plans(adj: tuple[frozenset[int], ...]) -> tuple[_Plan, ...]:
+    """One plan per pattern arc worth pinning onto the host edge, in search
+    order: the sorted pattern edges, each as (a, b) and then (b, a).
+
+    An arc that a pattern automorphism maps an earlier kept arc onto is
+    left out: a copy anchored on it, composed with that automorphism, would
+    be a copy anchored on the earlier arc, whose search came back empty.
+    The automorphisms come from the same kernel, embedding the pattern into
+    itself with the arc pinned; equal order and size make any hit one.
+    Pinning the arc (b, a) onto (u, v) is the same search as pinning
+    (a, b) onto (v, u): the greedy order after the two pinned vertices
+    depends only on which vertices are placed.
+    """
+    itself = _Host(adj)
+    plans: list[_Plan] = []
+    edges = sorted((a, b) for a, nbrs in enumerate(adj) for b in nbrs if a < b)
+    for a, b in edges:
+        for arc in ((a, b), (b, a)):
+            if all(_find_embedding(plan, itself, arc) is None for plan in plans):
+                plans.append(_plan(adj, arc))
+    return tuple(plans)
 
 
 def contains_subgraph_using_edge(
@@ -239,14 +290,11 @@ def contains_subgraph_using_edge(
     u, v = edge
     if not hg.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not a host edge")
-    adj = pattern.adjacency()
-    host_adj = hg.adjacency()
-    for a, b in sorted(pattern.edges):
-        order = _order(adj, (a, b))
-        for image in ((u, v), (v, u)):
-            mapping = _find_embedding(adj, order, host_adj, image)
-            if mapping is not None:
-                return EmbeddingWitness(mapping)
+    target = _Host(hg.adjacency())
+    for plan in _anchored_plans(pattern.adjacency()):
+        mapping = _find_embedding(plan, target, edge)
+        if mapping is not None:
+            return EmbeddingWitness(mapping)
     return None
 
 

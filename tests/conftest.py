@@ -7,11 +7,12 @@ import os
 
 import pytest
 
+from drawing import from_coordinates
 from triblock.catalog import CATALOG_LABELS, catalog_plane_graph
 from triblock.constructions import build_skeleton, gadget_a, gadget_b, substitute_b5a
 from triblock.oracle import OracleResult, arbitrary_embedding, max_edges
 from triblock.patterns import THETA6_1, THETA6_2, theta_pattern
-from triblock.plane_graph import Graph, PlaneGraph, from_coordinates
+from triblock.plane_graph import Graph, PlaneGraph
 
 PATTERNS: dict[str, Graph] = {"theta6-1": THETA6_1, "theta6-2": THETA6_2}
 
@@ -26,6 +27,23 @@ KNOWN_MAX_EDGES: dict[tuple[int, str], int] = {
     (7, "theta6-2"): 12,
     (8, "theta6-1"): 15,
     (8, "theta6-2"): 15,
+}
+
+# Per (n, pattern): the isomorphism classes kept at each edge count, and
+# the number of children examined over the whole sweep.
+KNOWN_LEVEL_SIZES: dict[tuple[int, str], tuple[tuple[int, ...], int]] = {
+    (6, "theta6-1"): ((1, 1, 2, 5, 9, 15, 21, 23, 21, 12, 4), 977),
+    (6, "theta6-2"): ((1, 1, 2, 5, 9, 15, 21, 23, 19, 10, 3), 946),
+    (7, "theta6-1"): ((1, 1, 2, 5, 10, 21, 41, 64, 92, 104, 78, 30, 5), 5834),
+    (7, "theta6-2"): ((1, 1, 2, 5, 10, 21, 41, 64, 88, 92, 58, 22, 4), 5329),
+    (8, "theta6-1"): (
+        (1, 1, 2, 5, 11, 24, 56, 114, 215, 362, 496, 471, 277, 85, 15, 3),
+        38744,
+    ),
+    (8, "theta6-2"): (
+        (1, 1, 2, 5, 11, 24, 56, 114, 211, 341, 419, 334, 167, 49, 11, 2),
+        32181,
+    ),
 }
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from drawing import from_coordinates
 from triblock.blocks import (
     DecompositionError,
     NotB5c,
@@ -16,7 +17,6 @@ from triblock.plane_graph import (
     Graph,
     PlaneGraph,
     build_plane_graph,
-    from_coordinates,
     normalize_edge,
 )
 

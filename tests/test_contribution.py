@@ -12,6 +12,7 @@ from conftest import (
     k5_minus_edge_with_pendant,
     wheel_graph,
 )
+from drawing import from_coordinates
 from triblock.blocks import decompose
 from triblock.catalog import catalog_plane_graph
 from triblock.contribution import (
@@ -28,7 +29,7 @@ from triblock.contribution import (
     get_spec,
 )
 from triblock.patterns import THETA6_1, cycle_graph
-from triblock.plane_graph import PlaneGraph, from_coordinates
+from triblock.plane_graph import PlaneGraph
 
 
 def attach_polygons(

@@ -5,7 +5,12 @@ import random
 
 import pytest
 
-from conftest import KNOWN_MAX_EDGES, PATTERNS, systematic_graphs
+from conftest import (
+    KNOWN_LEVEL_SIZES,
+    KNOWN_MAX_EDGES,
+    PATTERNS,
+    systematic_graphs,
+)
 from triblock import oracle
 from triblock.oracle import (
     CapExceeded,
@@ -50,6 +55,58 @@ def test_frozen_oracle_values(oracle_results):
         assert result.level_sizes[result.max_edges] == len(result.witnesses)
         assert result.level_sizes[0] == 1
         assert result.n == n and result.pattern_name == name
+
+
+def test_frozen_level_sizes_and_explored_counts(oracle_results):
+    for key, result in oracle_results.items():
+        assert (result.level_sizes, result.explored) == KNOWN_LEVEL_SIZES[key], key
+
+
+def test_planarity_is_tested_once_per_isomorphism_class(monkeypatch):
+    # One call per representative kept at each level (non-planar ones
+    # included: K5 plus an isolated vertex or a pendant edge, and K3,3 for
+    # theta6-2), plus one per witness in the self-audit.  Testing every
+    # candidate child would take 980 and 948 calls.
+    tested: list[Graph] = []
+
+    def counting_is_planar(g: Graph) -> bool:
+        tested.append(g)
+        return is_planar(g)
+
+    monkeypatch.setattr(oracle, "is_planar", counting_is_planar)
+    for name, expected in (("theta6-1", 119), ("theta6-2", 114)):
+        tested.clear()
+        result = max_edges(6, PATTERNS[name], pattern_name=name, jobs=1)
+        assert result.level_sizes == KNOWN_LEVEL_SIZES[6, name][0]
+        assert len(tested) == expected, name
+
+
+def test_one_pool_serves_the_whole_sweep(monkeypatch):
+    # A serial stand-in for multiprocessing.Pool that records each pool
+    # opened and, for each level mapped, how many pools were open by then.
+    opened: list[int] = []
+    mapped: list[int] = []
+
+    class SerialPool:
+        def __init__(self, processes: int):
+            opened.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, iterable, chunksize=None):
+            mapped.append(len(opened))
+            return [fn(item) for item in iterable]
+
+    monkeypatch.setattr(oracle, "Pool", SerialPool)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+    result = max_edges(6, THETA6_1, pattern_name="theta6-1", jobs=2)
+    assert result.level_sizes == KNOWN_LEVEL_SIZES[6, "theta6-1"][0]
+    assert opened == [2]
+    assert len(mapped) > 5 and set(mapped) == {1}
 
 
 def test_oracle_at_five_vertices_reaches_the_planar_maximum():

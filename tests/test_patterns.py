@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -100,6 +102,57 @@ def test_containment_using_edge():
     assert contains_subgraph_using_edge(host, THETA6_1, (6, 0)) is None
     with pytest.raises(ValueError):
         contains_subgraph_using_edge(host, THETA6_1, (1, 4))
+
+
+def copy_uses_edge(host: Graph, pattern: Graph, edge: tuple[int, int]) -> bool:
+    """Reference for anchored containment that shares no code with the
+    kernel: pin every pattern arc onto the edge in turn, then place the
+    other pattern vertices in id order on every unused host vertex that is
+    adjacent to the images of their placed neighbors."""
+    adj = host.adjacency()
+    pattern_adj = pattern.adjacency()
+
+    def extend(image: dict[int, int]) -> bool:
+        if len(image) == pattern.n:
+            return True
+        q = min(set(range(pattern.n)) - image.keys())
+        for w in set(range(host.n)) - set(image.values()):
+            if all(image[r] in adj[w] for r in pattern_adj[q] if r in image):
+                image[q] = w
+                if extend(image):
+                    return True
+                del image[q]
+        return False
+
+    u, v = edge
+    return any(
+        extend({a: u, b: v}) or extend({b: u, a: v}) for a, b in pattern.edges
+    )
+
+
+def test_anchored_search_agrees_with_a_reference_on_random_hosts():
+    rng = random.Random(2024)
+    patterns = (THETA6_1, THETA6_2, cycle_graph(4), cycle_graph(5), *theta_family(7))
+    verdicts = set()
+    for n in range(6, 12):
+        for _ in range(5):
+            p = rng.choice((0.25, 0.4, 0.55))
+            host = Graph.from_edges(
+                n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+            )
+            for pattern in patterns:
+                for edge in sorted(host.edges):
+                    hit = contains_subgraph_using_edge(host, pattern, edge)
+                    found = hit is not None
+                    assert found == copy_uses_edge(host, pattern, edge), (
+                        sorted(host.edges), sorted(pattern.edges), edge
+                    )
+                    verdicts.add(found)
+                    if found:
+                        mp = hit.mapping
+                        assert hit.is_valid(host, pattern)
+                        assert any({mp[a], mp[b]} == set(edge) for a, b in pattern.edges)
+    assert verdicts == {True, False}
 
 
 def test_kernel_agrees_with_brute_force_on_catalog():

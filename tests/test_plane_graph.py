@@ -3,8 +3,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from drawing import AmbiguousLayout, from_coordinates
 from triblock.plane_graph import (
-    AmbiguousLayout,
     DisconnectedGraph,
     FormatError,
     Graph,
@@ -15,7 +15,6 @@ from triblock.plane_graph import (
     build_plane_graph,
     export_dot,
     format_planegraph,
-    from_coordinates,
     normalize_edge,
     parse_planegraph,
 )
