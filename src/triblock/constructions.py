@@ -413,9 +413,9 @@ class ExtremalReport:
 def verify_extremal(k: int, check_freeness: bool = True) -> ExtremalReport:
     """Build the k-th member and re-check everything that makes it
     extremal: the vertex/edge counts, freeness of the long-chord theta
-    (optional, the expensive part), the block structure (one 5-vertex
-    9-edge block per skeleton triangle), all cluster contributions exactly
-    zero, and equality 17*m = 45*(n - 2)."""
+    (optional), the block structure (one 5-vertex 9-edge block per
+    skeleton triangle), all cluster contributions exactly zero, and
+    equality 17*m = 45*(n - 2)."""
     graph = substitute_b5a(build_skeleton(k))
     counts_ok = (graph.n, graph.m) == (170 * k + 70, 450 * k + 180)
     pattern_free = is_free(graph, THETA6_1) if check_freeness else None

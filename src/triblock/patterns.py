@@ -6,29 +6,47 @@ to a host edge.  Extra host edges between image vertices are irrelevant.
 
 The search is one backtracking kernel (`_find_embedding`) that tries host
 candidates in ascending vertex order, so the first witness is
-deterministic.  Host adjacency is kept as arbitrary-precision integer
-bitmasks, which keeps the inner loop in C-speed integer ops even for hosts
-with a few hundred vertices.
+deterministic: it is the least assignment sequence, compared position by
+position in the plan's order.  Host adjacency is kept as integer bitmasks,
+so each candidate step is a few integer operations.
 
 The kernel takes its two sides ready-made: a `_Plan` holds the pattern-only
 work (assignment order, the earlier neighbors of each position, the degree
-each position needs) and a `_Host` the host bitmasks, built once per
-containment call.  An anchored search (`contains_subgraph_using_edge`) pins
-each pattern arc onto the new host edge in turn, but skips an arc that a
-pattern automorphism maps an earlier searched arc onto: that search came
-back empty, so this one would too, and skipping it does not change which
-witness is found first.  The arcs kept, one per automorphism orbit, are
-computed once per pattern.  Plans and kept arcs are cached for at most 64
-patterns: `isomorphic` passes every graph it compares in as a pattern, so
-an unbounded cache would grow with every oracle sweep.
+each position needs) and a `_Host` the host bitmasks.
+
+`contains_subgraph` does not hand the kernel the whole host when the
+pattern is connected.  Every vertex of a copy lies within distance
+r = ecc(first vertex of the plan) of the host vertex at position 0, so it
+loops over the host vertices in ascending order as roots, builds a `_Host`
+of the radius-r ball around each root (relabeled to 0..b-1 in ascending
+order, with the induced edges), and runs the kernel on it with position 0
+pinned to the root.  A ball holds every copy rooted there, and relabeling
+keeps the order of its vertices, so the first witness is the one the
+host-wide search finds; a vertex's degree inside the ball can be lower than
+in the host, but a vertex whose in-ball degree is too low is in no copy
+rooted there.  On a planar host of bounded degree, such as the extremal
+family, the balls have bounded size and the search takes time linear in n
+(the locality argument of Eppstein, "Subgraph isomorphism in planar graphs
+and related problems", JGAA 1999), where host-wide n-bit masks made a
+no-match search grow as n squared.  Disconnected patterns, and
+`isomorphic`, whose two graphs have equal order, search the whole host.
+
+An anchored search (`contains_subgraph_using_edge`) builds one host-wide
+`_Host` and pins each pattern arc onto the new host edge in turn, but skips
+an arc that a pattern automorphism maps an earlier searched arc onto: that
+search came back empty, so this one would too, and skipping it does not
+change which witness is found first.  The arcs kept, one per automorphism
+orbit, are computed once per pattern.  Plans and kept arcs are cached for
+at most 64 patterns: `isomorphic` passes every graph it compares in as a
+pattern, so an unbounded cache would grow with every oracle sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
-from typing import NamedTuple, Sequence
+from itertools import chain, islice, permutations
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .plane_graph import Graph, PlaneGraph, normalize_edge
 
@@ -160,28 +178,30 @@ def _plan(adj: tuple[frozenset[int], ...], fixed: tuple[int, ...]) -> _Plan:
 
 
 class _Host:
-    """The host side of a search: adjacency as integer bitmasks, and
-    ``at_least[d]``, the mask of vertices with at least d neighbors."""
+    """The host side of a search: ``masks[v]``, the neighbors of v as an
+    integer bitmask, and ``at_least[d]``, the mask of vertices with at
+    least d neighbors.
+
+    Built for a whole host by `from_adjacency`, or by `contains_subgraph`
+    for one ball relabeled to 0..b-1; a ball of a bounded-degree planar
+    host has a few dozen vertices, so its masks are small integers.
+    """
 
     __slots__ = ("masks", "at_least")
 
-    def __init__(self, adj: Sequence[Sequence[int]]):
-        masks = [0] * len(adj)
-        for v, nbrs in enumerate(adj):
-            mask = 0
-            for w in nbrs:
-                mask |= 1 << w
-            masks[v] = mask
-        # A pass of its own: interleaving these short-lived n-bit integers
-        # with the masks raised the peak memory of a search on a large
-        # host (n = 6870) by about 1.5 MB.
-        at_least = [0] * (max(map(len, adj), default=0) + 1)
-        for v, nbrs in enumerate(adj):
-            at_least[len(nbrs)] |= 1 << v
+    def __init__(self, masks: list[int]):
+        at_least = [0] * (max((m.bit_count() for m in masks), default=0) + 1)
+        for v, mask in enumerate(masks):
+            at_least[mask.bit_count()] |= 1 << v
         for d in range(len(at_least) - 2, -1, -1):
             at_least[d] |= at_least[d + 1]
         self.masks = masks
         self.at_least = at_least
+
+    @classmethod
+    def from_adjacency(cls, adj: Sequence[Iterable[int]]) -> _Host:
+        """The whole host, with vertex v as bit v."""
+        return cls([sum(1 << w for w in nbrs) for nbrs in adj])
 
 
 def _find_embedding(
@@ -210,46 +230,86 @@ def _find_embedding(
     cand = [0] * p
     assigned = [0] * p
     used = 0
+    last = p - 1
 
-    def candidates(i: int) -> int:
-        c = allowed[i] & ~used
-        for j in earlier[i]:
-            c &= masks[assigned[j]]
-        return c
-
+    # Position 0 has no earlier neighbors and nothing is used yet.
     i = 0
-    cand[0] = candidates(0)
+    cand[0] = allowed[0]
     while i >= 0:
         c = cand[i]
         if c:
             bit = c & -c
             cand[i] = c ^ bit
-            v = bit.bit_length() - 1
-            assigned[i] = v
-            if i == p - 1:
+            assigned[i] = bit.bit_length() - 1
+            if i == last:
                 mapping = [0] * p
                 for j in range(p):
                     mapping[order[j]] = assigned[j]
                 return tuple(mapping)
             used |= bit
             i += 1
-            cand[i] = candidates(i)
+            c = allowed[i] & ~used
+            for j in earlier[i]:
+                c &= masks[assigned[j]]
+            cand[i] = c
         else:
             i -= 1
             if i >= 0:
-                used &= ~(1 << assigned[i])
+                used ^= 1 << assigned[i]
     return None
+
+
+def _layers(adj: Sequence[Sequence[int]], root: int) -> Iterator[list[int]]:
+    """Breadth-first layers around ``root``: [root], its neighbors, the
+    vertices at distance 2, and so on."""
+    seen = {root}
+    layer = [root]
+    while layer:
+        yield layer
+        reached = []
+        for u in layer:
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    reached.append(w)
+        layer = reached
 
 
 def contains_subgraph(
     host: Graph | PlaneGraph, pattern: Graph
 ) -> EmbeddingWitness | None:
-    """First containment witness in ascending host-vertex order, or None."""
+    """First containment witness in ascending host-vertex order, or None.
+
+    A connected pattern is searched one root ball at a time (see the
+    module docstring); the witness is the one a host-wide search finds.
+    """
     hg = _host_graph(host)
     if pattern.n > hg.n or pattern.m > hg.m:
         return None
-    mapping = _find_embedding(_plan(pattern.adjacency(), ()), _Host(hg.adjacency()))
-    return None if mapping is None else EmbeddingWitness(mapping)
+    pattern_adj = pattern.adjacency()
+    plan = _plan(pattern_adj, ())
+    host_adj = hg.adjacency()
+    if not pattern.is_connected():
+        mapping = _find_embedding(plan, _Host.from_adjacency(host_adj))
+        return None if mapping is None else EmbeddingWitness(mapping)
+    # Every vertex of a copy lies within this distance of its root.
+    radius = sum(1 for _ in _layers(pattern_adj, plan.order[0])) - 1
+    root_degree = plan.degrees[0]
+    slot = [0] * hg.n  # the bit of each vertex in the current ball, else 0
+    for root in range(hg.n):
+        if len(host_adj[root]) < root_degree:
+            continue
+        ball = sorted(chain.from_iterable(islice(_layers(host_adj, root), radius + 1)))
+        for i, v in enumerate(ball):
+            slot[v] = 1 << i
+        # A sum of distinct bits is their bitwise or.
+        masks = [sum(map(slot.__getitem__, host_adj[v])) for v in ball]
+        for v in ball:
+            slot[v] = 0
+        mapping = _find_embedding(plan, _Host(masks), (ball.index(root),))
+        if mapping is not None:
+            return EmbeddingWitness(tuple(ball[i] for i in mapping))
+    return None
 
 
 @lru_cache(maxsize=64)
@@ -266,7 +326,7 @@ def _anchored_plans(adj: tuple[frozenset[int], ...]) -> tuple[_Plan, ...]:
     (a, b) onto (v, u): the greedy order after the two pinned vertices
     depends only on which vertices are placed.
     """
-    itself = _Host(adj)
+    itself = _Host.from_adjacency(adj)
     plans: list[_Plan] = []
     edges = sorted((a, b) for a, nbrs in enumerate(adj) for b in nbrs if a < b)
     for a, b in edges:
@@ -290,7 +350,7 @@ def contains_subgraph_using_edge(
     u, v = edge
     if not hg.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not a host edge")
-    target = _Host(hg.adjacency())
+    target = _Host.from_adjacency(hg.adjacency())
     for plan in _anchored_plans(pattern.adjacency()):
         mapping = _find_embedding(plan, target, edge)
         if mapping is not None:
@@ -338,4 +398,6 @@ def isomorphic(g: Graph, h: Graph) -> bool:
         return False
     if g.degree_sequence() != h.degree_sequence():
         return False
-    return contains_subgraph(h, g) is not None
+    # Host-wide: with equal order, a root ball is at best the whole graph.
+    plan = _plan(g.adjacency(), ())
+    return _find_embedding(plan, _Host.from_adjacency(h.adjacency())) is not None

@@ -233,7 +233,7 @@ class PlaneGraph:
         object.__setattr__(self, "_position", position)
 
         # Trace every face from its first dart in row order; the dart -> face
-        # map doubles as the visited set.
+        # map doubles as the visited set.  The step is `successor`, inlined.
         dart_face: dict[Dart, int] = {}
         faces: list[Face] = []
         for start in position:
@@ -245,7 +245,9 @@ class PlaneGraph:
             while True:
                 walk.append(dart)
                 dart_face[dart] = index
-                dart = self.successor(dart)
+                v, w = dart
+                row = rotation[w]
+                dart = (w, row[(position[w, v] + 1) % len(row)])
                 if dart == start:
                     break
             edge_set = frozenset(normalize_edge(a, b) for a, b in walk)

@@ -5,7 +5,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from triblock.catalog import catalog_graph
+from triblock import patterns
+from triblock.catalog import CATALOG_LABELS, catalog_graph
+from triblock.constructions import build_skeleton, substitute_b5a
 from triblock.patterns import (
     KERNEL_NAME,
     THETA6_1,
@@ -168,7 +170,65 @@ def test_kernel_agrees_with_brute_force_on_catalog():
 
 
 def test_kernel_name_names_the_loaded_backend():
-    assert KERNEL_NAME in {"compiled", "pure-python"}
+    assert KERNEL_NAME == "pure-python"
+
+
+TWO_EDGES = Graph.from_edges(4, [(0, 1), (2, 3)])
+
+
+def test_ball_search_finds_the_host_wide_witness():
+    # The root-ball search must return exactly what one host-wide kernel
+    # call returns, including no witness at all.
+    rng = random.Random(77)
+    hosts = [substitute_b5a(build_skeleton(k)).graph for k in (0, 1, 2)]
+    hosts.append(build_skeleton(1).plane_graph.graph)
+    hosts += [catalog_graph(label) for label in CATALOG_LABELS]
+    for _ in range(40):
+        n = rng.randint(6, 40)
+        p = rng.choice((0.1, 0.2, 0.35))
+        hosts.append(Graph.from_edges(
+            n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+        ))
+    pattern_list = (THETA6_1, THETA6_2, cycle_graph(4), cycle_graph(5),
+                    *theta_family(7), TWO_EDGES)
+    verdicts = set()
+    for host in hosts:
+        for pattern in pattern_list:
+            witness = contains_subgraph(host, pattern)
+            mapping = None if witness is None else witness.mapping
+            expected = patterns._find_embedding(
+                patterns._plan(pattern.adjacency(), ()),
+                patterns._Host.from_adjacency(host.adjacency()),
+            )
+            assert mapping == expected, (host.n, sorted(host.edges), sorted(pattern.edges))
+            verdicts.add(mapping is None)
+    assert verdicts == {True, False}
+
+
+def test_connected_patterns_never_search_the_whole_host(monkeypatch):
+    sizes: list[int] = []
+
+    class RecordingHost(patterns._Host):
+        def __init__(self, masks):
+            sizes.append(len(masks))
+            super().__init__(masks)
+
+    host = substitute_b5a(build_skeleton(2)).graph
+    n = host.n
+    reversed_host = Graph.from_edges(n, [(n - 1 - a, n - 1 - b) for a, b in host.edges])
+    monkeypatch.setattr(patterns, "_Host", RecordingHost)
+    for pattern in (THETA6_1, THETA6_2, cycle_graph(4)):
+        sizes.clear()
+        contains_subgraph(host, pattern)
+        assert sizes and host.n not in sizes, sorted(pattern.edges)
+        assert max(sizes) < 50
+    sizes.clear()
+    assert contains_subgraph(host, TWO_EDGES) is not None
+    assert sizes == [host.n]
+    sizes.clear()
+    # Relabeled so that no ball around the first root holds a whole copy.
+    assert isomorphic(host, reversed_host)
+    assert sizes == [host.n]
 
 
 def test_kernel_agrees_with_networkx_at_scale():
