@@ -7,7 +7,10 @@ a (non-trivial) block; an edge adjacent to no 3-face forms a trivial block
 B2 of its own.  Block edge sets partition the edge set of the graph, and
 any face adjacent to a block without being interior to it cannot itself be
 a triangle — both facts are asserted on every decomposition rather than
-assumed.
+assumed.  The faces a block meets without containing are its *outer
+faces*; one pass over the face walks records them, with the number of walk
+steps that run along block edges, and that ledger is all the face data
+:mod:`triblock.contribution` needs.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 from . import catalog
 from .patterns import isomorphic
-from .plane_graph import Edge, Graph, PlaneGraph
+from .plane_graph import Edge, Graph, PlaneGraph, normalize_edge
 
 __all__ = [
     "B5cFrame",
@@ -57,13 +60,18 @@ class TriangularBlock:
 
     ``interior_faces`` lists the face indices of the absorbed 3-faces
     (empty exactly for the trivial B2 blocks); ``edges`` is their union —
-    or the single edge, when trivial.
+    or the single edge, when trivial.  ``outer_faces`` holds one
+    ``(face index, steps)`` pair, sorted by face index, for every face the
+    block meets but does not contain: ``steps`` counts the darts of that
+    face's walk that run along block edges.  A bridge is a trivial block
+    with the single outer face ``(f, 2)``.
     """
 
     id: int
     edges: frozenset[Edge]
     vertices: frozenset[int]
     interior_faces: tuple[int, ...]
+    outer_faces: tuple[tuple[int, int], ...]
     label: str
 
     @property
@@ -126,32 +134,30 @@ def decompose(pg: PlaneGraph) -> Decomposition:
     follow that order.
     """
     faces = pg.faces
-    triangle_ids = set(pg.triangle_faces())
+    triangles = pg.triangle_faces()
 
-    # Flood fill over 3-faces, crossing shared edges.
-    seen: set[int] = set()
-    groups: list[set[int]] = []
-    for fid in sorted(triangle_ids):
-        if fid in seen:
+    # Flood fill over 3-faces: each step (v, w) of a walk crosses to the
+    # face on the other side of its edge, the face of the dart (w, v).
+    unabsorbed = set(triangles)
+    groups: list[list[int]] = []
+    for fid in triangles:
+        if fid not in unabsorbed:
             continue
-        group = {fid}
-        seen.add(fid)
-        stack = [fid]
-        while stack:
-            current = stack.pop()
-            for edge in faces[current].edge_set:
-                for other in pg.faces_of_edge(edge):
-                    if other in triangle_ids and other not in seen:
-                        seen.add(other)
-                        group.add(other)
-                        stack.append(other)
+        unabsorbed.remove(fid)
+        group = [fid]
+        for current in group:  # the group grows while it is scanned
+            for v, w in faces[current].walk:
+                other = pg.face_of_dart((w, v))
+                if other in unabsorbed:
+                    unabsorbed.remove(other)
+                    group.append(other)
         groups.append(group)
 
     raw: list[tuple[frozenset[Edge], tuple[int, ...]]] = []
     covered: set[Edge] = set()
     for group in groups:
         edges = frozenset(
-            edge for fid in group for edge in faces[fid].edge_set
+            normalize_edge(v, w) for fid in group for v, w in faces[fid].walk
         )
         raw.append((edges, tuple(sorted(group))))
         covered |= edges
@@ -161,10 +167,9 @@ def decompose(pg: PlaneGraph) -> Decomposition:
 
     raw.sort(key=lambda item: min(item[0]))
 
-    blocks: list[TriangularBlock] = []
     edge_to_block: dict[Edge, int] = {}
+    interior_of: dict[int, int] = {}
     for block_id, (edges, interior) in enumerate(raw):
-        vertices = frozenset(v for edge in edges for v in edge)
         for edge in edges:
             if edge in edge_to_block:
                 raise DecompositionError(
@@ -172,36 +177,47 @@ def decompose(pg: PlaneGraph) -> Decomposition:
                     f"{edge_to_block[edge]} and {block_id}"
                 )
             edge_to_block[edge] = block_id
+        interior_of.update((fid, block_id) for fid in interior)
+    if len(edge_to_block) != pg.m:
+        raise DecompositionError(
+            f"blocks cover {len(edge_to_block)} of {pg.m} edges"
+        )
+
+    # One pass over the face walks: every step lands on the block of its
+    # edge, and a face is outer to each block it steps on without being
+    # interior to it.  Such a face cannot be a triangle: the flood fill
+    # would have absorbed it (or made a trivial block non-trivial).
+    outer: list[list[tuple[int, int]]] = [[] for _ in raw]
+    for face in faces:
+        steps: dict[int, int] = {}
+        for v, w in face.walk:
+            block_id = edge_to_block[normalize_edge(v, w)]
+            steps[block_id] = steps.get(block_id, 0) + 1
+        home = interior_of.get(face.index)
+        for block_id, count in steps.items():
+            if block_id == home:
+                continue
+            if face.is_triangle:
+                raise DecompositionError(
+                    f"3-face {face.index} is adjacent to block {block_id} "
+                    "without being interior to it"
+                )
+            outer[block_id].append((face.index, count))
+
+    blocks: list[TriangularBlock] = []
+    for block_id, (edges, interior) in enumerate(raw):
+        vertices = frozenset(v for edge in edges for v in edge)
         subgraph, _ = _relabeled(vertices, edges)
-        label = classify(subgraph, len(interior))
         blocks.append(
             TriangularBlock(
                 id=block_id,
                 edges=edges,
                 vertices=vertices,
                 interior_faces=interior,
-                label=label,
+                outer_faces=tuple(outer[block_id]),
+                label=classify(subgraph, len(interior)),
             )
         )
-
-    if len(edge_to_block) != pg.m:
-        raise DecompositionError(
-            f"blocks cover {len(edge_to_block)} of {pg.m} edges"
-        )
-
-    # No face adjacent to a block from the outside may be a triangle: such
-    # a face would have been absorbed by the flood fill (or would have made
-    # a trivial block non-trivial).
-    for block in blocks:
-        interior = set(block.interior_faces)
-        for edge in block.edges:
-            for fid in pg.faces_of_edge(edge):
-                if fid not in interior and faces[fid].is_triangle:
-                    raise DecompositionError(
-                        f"3-face {fid} is adjacent to block {block.id} "
-                        "without being interior to it"
-                    )
-
     return Decomposition(blocks=tuple(blocks), edge_to_block=edge_to_block)
 
 

@@ -278,6 +278,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     labeled = resolve_patterns(args.pattern)
+    if args.witnesses and args.n < 2:
+        print("error: --witnesses needs --n >= 2", file=sys.stderr)
+        return 1
     result = max_edges(
         args.n,
         tuple(g for _, g in labeled),

@@ -166,13 +166,14 @@ def _check_edge_face_types(
     pg: PlaneGraph, exempt: frozenset[Edge] = frozenset()
 ) -> None:
     for face in pg.faces:
-        if face.length not in (3, 5):
+        if face.dart_count not in (3, 5):
             raise GluingMismatch(
-                f"face {face.index} has length {face.length}, expected 3 or 5"
+                f"face {face.index} has {face.dart_count} darts, "
+                "expected 3 or 5"
             )
     for edge in sorted(pg.graph.edges):
         a, b = pg.faces_of_edge(edge)
-        lengths = sorted((pg.faces[a].length, pg.faces[b].length))
+        lengths = sorted((pg.faces[a].dart_count, pg.faces[b].dart_count))
         if lengths == [3, 5]:
             continue
         if lengths == [5, 5] and edge in exempt:
@@ -300,8 +301,8 @@ def _validate_skeleton(pg: PlaneGraph, k: int) -> None:
         raise GluingMismatch(
             f"skeleton k={k} counts {(pg.n, pg.m)}, expected {expected}"
         )
-    triangles = sum(1 for f in pg.faces if f.length == 3)
-    pentagons = sum(1 for f in pg.faces if f.length == 5)
+    triangles = sum(1 for f in pg.faces if f.dart_count == 3)
+    pentagons = sum(1 for f in pg.faces if f.dart_count == 5)
     if (triangles, pentagons) != (50 * k + 20, 30 * k + 12):
         raise GluingMismatch(
             f"skeleton k={k} has {triangles} triangles and {pentagons} "

@@ -52,7 +52,6 @@ are not recorded here, so whether this rule is one of them is open.
 from __future__ import annotations
 
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -166,22 +165,18 @@ def edge_contribution(block: TriangularBlock) -> Fraction:
 def face_contribution(pg: PlaneGraph, block: TriangularBlock) -> Fraction:
     """f_B: the block's share of each boundary walk, summed over faces.
 
-    Every face hands out exactly one unit, split evenly over the steps of
-    its boundary walk; the block collects one share per walk step that
-    traverses a block edge.  A bridge is walked twice by its single face
-    and so carries two shares there — that convention is what makes the
-    per-block f values match the face-degree arithmetic of the bound
-    proofs on hosts with cut edges (a triangle with a pendant edge hanging
-    into it is a 5-face, not a 4-face).  Interior 3-faces contribute 1
-    apiece."""
-    counts: Counter[int] = Counter()
-    for edge in block.edges:
-        for fid in pg.faces_of_edge(edge):
-            counts[fid] += 1
-    total = Fraction(0)
-    for fid, count in sorted(counts.items()):
-        total += Fraction(count, pg.faces[fid].dart_count)
-    return total
+    Every face hands out exactly one unit, split evenly over the darts of
+    its walk; the block collects one share per walk step that traverses a
+    block edge.  So an interior 3-face gives 1, and an outer face of d
+    darts gives steps/d (``block.outer_faces``).  A bridge is walked twice
+    by its single face and so carries two shares there — that convention
+    is what makes the per-block f values match the face-degree arithmetic
+    of the bound proofs on hosts with cut edges (a triangle with a pendant
+    edge hanging into it is a 5-face, not a 4-face)."""
+    return Fraction(len(block.interior_faces)) + sum(
+        Fraction(steps, pg.faces[fid].dart_count)
+        for fid, steps in block.outer_faces
+    )
 
 
 def g_eval(spec: BoundSpec, e: Fraction, f: Fraction) -> Fraction:
@@ -306,20 +301,16 @@ def _bbar_partners(
     return tuple(sorted(set(partner_ids)))
 
 
-def _bridges_by_face(
-    pg: PlaneGraph, dec: Decomposition
-) -> dict[int, list[int]]:
+def _bridges_by_face(dec: Decomposition) -> dict[int, list[int]]:
     """Face index -> ids of the bridge blocks on that face, in id order.
 
-    A bridge is a trivial block whose edge the same face walks twice."""
+    A bridge is a trivial block with a single outer face, which walks its
+    edge twice."""
     out: dict[int, list[int]] = {}
     for block in dec.blocks:
-        if not block.is_trivial:
-            continue
-        (edge,) = block.edges
-        a, b = pg.faces_of_edge(edge)
-        if a == b:
-            out.setdefault(a, []).append(block.id)
+        if block.is_trivial and len(block.outer_faces) == 1:
+            ((fid, _),) = block.outer_faces
+            out.setdefault(fid, []).append(block.id)
     return out
 
 
@@ -367,19 +358,15 @@ def form_clusters(
             owner[p] = block.id
         groups[block.id] = ("bbar", (block.id,) + partners)
 
-    bridges_on_face = _bridges_by_face(pg, dec)
+    bridges_on_face = _bridges_by_face(dec)
     for block in dec.blocks:
         # A trivial block always scores g < 0, so only a larger block can
         # be positive.
         if block.is_trivial or block.id in groups or g_by_block[block.id] <= 0:
             continue
-        interior = set(block.interior_faces)
-        faces = {
-            fid for edge in block.edges for fid in pg.faces_of_edge(edge)
-        } - interior
         bridges = sorted(
             b
-            for fid in faces
+            for fid, _ in block.outer_faces
             for b in bridges_on_face.get(fid, ())
             if b not in owner
         )

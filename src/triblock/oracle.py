@@ -41,8 +41,6 @@ from dataclasses import dataclass
 from functools import partial
 from multiprocessing import Pool
 
-import networkx as nx
-
 from .patterns import contains_subgraph_using_edge, is_free, isomorphic
 from .plane_graph import (
     Edge,
@@ -75,13 +73,16 @@ class CapExceeded(ValueError):
     """The requested n exceeds the safety cap (the search is exponential)."""
 
 
-def _nx_graph(g: Graph) -> nx.Graph:
-    """The same graph for networkx, vertices 0..n-1 and edges in sorted
-    order (the embedding networkx returns depends on insertion order)."""
+def _check_planarity(g: Graph):
+    """networkx's planarity test on g, vertices 0..n-1 and edges added in
+    sorted order (the embedding it returns depends on insertion order).
+    networkx is imported on first use: importing the package skips it."""
+    import networkx as nx
+
     nxg = nx.Graph()
     nxg.add_nodes_from(range(g.n))
     nxg.add_edges_from(sorted(g.edges))
-    return nxg
+    return nx.check_planarity(nxg)
 
 
 def is_planar(g: Graph) -> bool:
@@ -89,14 +90,14 @@ def is_planar(g: Graph) -> bool:
         return False
     if g.m == 0:
         return True
-    ok, _ = nx.check_planarity(_nx_graph(g), counterexample=False)
+    ok, _ = _check_planarity(g)
     return bool(ok)
 
 
 def arbitrary_embedding(g: Graph) -> PlaneGraph:
     """Some valid plane embedding of an abstract planar graph, for
     serialization only — the choice of faces carries no meaning."""
-    ok, embedding = nx.check_planarity(_nx_graph(g))
+    ok, embedding = _check_planarity(g)
     if not ok:
         raise PlaneGraphError("graph is not planar; cannot embed")
     data = embedding.get_data()

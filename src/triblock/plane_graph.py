@@ -8,12 +8,12 @@ rotation system is accepted only if the traced face count satisfies Euler's
 formula n - m + f = 2, i.e. it describes a genus-zero (planar) embedding of
 a connected graph.
 
-Face *length* counts distinct edges on the face walk, not darts: a bridge
-traversed twice from both sides contributes one edge.  This is the
-convention under which the face-contribution accounting in
-:mod:`triblock.contribution` sums exactly to the number of faces.  A face
-is a *triangle* when its walk has exactly three darts; in a simple graph
-such a walk always has three distinct edges, but the converse fails (a star
+A face is its dart walk and nothing else.  Its *size* is the dart count:
+a bridge is walked once from each side and so counts twice.  This is the
+size :mod:`triblock.contribution` splits a face's unit over, and under it
+the per-block face shares sum exactly to the number of faces.  A face is a
+*triangle* when its walk has exactly three darts; in a simple graph such a
+walk always has three distinct edges, but the converse fails (a star
 K_{1,3} has a single face with six darts and three distinct edges).
 """
 
@@ -31,7 +31,6 @@ __all__ = [
     "NonPlanarEmbedding",
     "PlaneGraph",
     "PlaneGraphError",
-    "build_plane_graph",
     "export_dot",
     "format_planegraph",
     "normalize_edge",
@@ -153,17 +152,17 @@ class Graph:
 class Face:
     """One face of the embedding.
 
-    ``walk`` is the cyclic dart sequence produced by tracing; ``edge_set``
-    the distinct underlying edges; ``length`` is ``len(edge_set)``.
+    ``walk`` is the cyclic dart sequence produced by tracing; everything
+    else about the face is read off it.
     """
 
     index: int
     walk: tuple[Dart, ...]
-    edge_set: frozenset[Edge]
 
     @property
-    def length(self) -> int:
-        return len(self.edge_set)
+    def edge_set(self) -> frozenset[Edge]:
+        """The distinct underlying edges of the walk."""
+        return frozenset(normalize_edge(a, b) for a, b in self.walk)
 
     @property
     def dart_count(self) -> int:
@@ -233,7 +232,7 @@ class PlaneGraph:
         object.__setattr__(self, "_position", position)
 
         # Trace every face from its first dart in row order; the dart -> face
-        # map doubles as the visited set.  The step is `successor`, inlined.
+        # map doubles as the visited set.
         dart_face: dict[Dart, int] = {}
         faces: list[Face] = []
         for start in position:
@@ -245,13 +244,10 @@ class PlaneGraph:
             while True:
                 walk.append(dart)
                 dart_face[dart] = index
-                v, w = dart
-                row = rotation[w]
-                dart = (w, row[(position[w, v] + 1) % len(row)])
+                dart = self.successor(dart)
                 if dart == start:
                     break
-            edge_set = frozenset(normalize_edge(a, b) for a, b in walk)
-            faces.append(Face(index, tuple(walk), edge_set))
+            faces.append(Face(index, tuple(walk)))
         object.__setattr__(self, "faces", tuple(faces))
         object.__setattr__(self, "_dart_face", dart_face)
 
@@ -305,15 +301,6 @@ class PlaneGraph:
         return (
             f"PlaneGraph(n={self.n}, m={self.m}, faces={self.face_count})"
         )
-
-
-def build_plane_graph(n: int, rotations: Sequence[Sequence[int]]) -> PlaneGraph:
-    """Validate a rotation system and derive its faces.
-
-    Raises :class:`InconsistentRotation`, :class:`DisconnectedGraph` or
-    :class:`NonPlanarEmbedding` on bad input.
-    """
-    return PlaneGraph(n, rotations)
 
 
 def parse_planegraph(text: str) -> PlaneGraph:

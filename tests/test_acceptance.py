@@ -32,14 +32,14 @@ from triblock.patterns import (
     is_free,
     theta_family,
 )
-from triblock.plane_graph import PlaneGraph, build_plane_graph, Graph
+from triblock.plane_graph import PlaneGraph, Graph
 
 
 def _permuted(pg: PlaneGraph, perm: list[int]) -> PlaneGraph:
     rotations: list[list[int]] = [[] for _ in range(pg.n)]
     for v in range(pg.n):
         rotations[perm[v]] = [perm[w] for w in pg.rotation[v]]
-    return build_plane_graph(pg.n, rotations)
+    return PlaneGraph(pg.n, rotations)
 
 
 def test_acceptance_1_extremal_equality():

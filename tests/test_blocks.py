@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,7 +17,6 @@ from triblock.catalog import CATALOG_LABELS, catalog_graph, catalog_plane_graph
 from triblock.plane_graph import (
     Graph,
     PlaneGraph,
-    build_plane_graph,
     normalize_edge,
 )
 
@@ -25,12 +25,12 @@ def permuted(pg: PlaneGraph, perm: list[int]) -> PlaneGraph:
     rotations: list[list[int]] = [[] for _ in range(pg.n)]
     for v in range(pg.n):
         rotations[perm[v]] = [perm[w] for w in pg.rotation[v]]
-    return build_plane_graph(pg.n, rotations)
+    return PlaneGraph(pg.n, rotations)
 
 
 def test_cycle_decomposes_into_trivial_blocks():
     k = 6
-    pg = build_plane_graph(k, [[(i - 1) % k, (i + 1) % k] for i in range(k)])
+    pg = PlaneGraph(k, [[(i - 1) % k, (i + 1) % k] for i in range(k)])
     dec = decompose(pg)
     assert len(dec.blocks) == k
     assert all(b.is_trivial and b.label == "B2" for b in dec.blocks)
@@ -39,7 +39,7 @@ def test_cycle_decomposes_into_trivial_blocks():
 
 
 def test_k4_is_a_single_b4a_block():
-    pg = build_plane_graph(4, [[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
+    pg = PlaneGraph(4, [[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
     dec = decompose(pg)
     assert len(dec.blocks) == 1
     block = dec.blocks[0]
@@ -193,3 +193,56 @@ def test_edge_normalization_in_lookup():
     dec = decompose(pg)
     some_edge = next(iter(pg.graph.edges))
     assert dec.block_of_edge(normalize_edge(*some_edge)).label == "B4b"
+
+
+def test_a_triangle_skipped_by_the_flood_fill_is_refused(monkeypatch):
+    pg = catalog_plane_graph("B4a")
+    kept = pg.triangle_faces()[1:]
+    monkeypatch.setattr(PlaneGraph, "triangle_faces", lambda self: kept)
+    with pytest.raises(DecompositionError, match="without being interior"):
+        decompose(pg)
+
+
+def recounted_outer_faces(
+    pg: PlaneGraph, block
+) -> tuple[tuple[int, int], ...]:
+    """The outer-face ledger recounted edge by edge: each block edge adds
+    one step to the face on either side (a bridge adds two to its face)."""
+    steps: Counter[int] = Counter()
+    for edge in block.edges:
+        steps.update(pg.faces_of_edge(edge))
+    interior = set(block.interior_faces)
+    return tuple(sorted((f, c) for f, c in steps.items() if f not in interior))
+
+
+def thinned(pg: PlaneGraph, p: float, rng: random.Random) -> PlaneGraph:
+    """``pg`` with each edge deleted with probability p, unless deleting it
+    would disconnect the graph; rotations are restricted, so it stays plane."""
+    edges = set(pg.graph.edges)
+    for edge in sorted(pg.graph.edges):
+        rest = frozenset(edges - {edge})
+        if rng.random() < p and Graph(pg.n, rest).is_connected():
+            edges = set(rest)
+    rows = [
+        [w for w in pg.rotation[v] if normalize_edge(v, w) in edges]
+        for v in range(pg.n)
+    ]
+    return PlaneGraph(pg.n, rows)
+
+
+def test_outer_faces_match_a_recount_through_faces_of_edge():
+    from triblock.constructions import build_skeleton, substitute_b5a
+
+    hosts = [catalog_plane_graph(label) for label in CATALOG_LABELS]
+    family = [substitute_b5a(build_skeleton(k)) for k in (0, 1)]
+    hosts += family
+    rng = random.Random(20261018)
+    for p in (0.2, 0.4, 0.6):
+        hosts.append(thinned(catalog_plane_graph("B6"), p, rng))
+        hosts.append(thinned(family[0], p, rng))
+    bridges = 0
+    for pg in hosts:
+        for block in decompose(pg).blocks:
+            assert block.outer_faces == recounted_outer_faces(pg, block)
+            bridges += block.is_trivial and len(block.outer_faces) == 1
+    assert bridges > 0  # the thinned hosts exercise the two-step bridge case

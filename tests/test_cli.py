@@ -43,6 +43,7 @@ USAGE_ERRORS = [
     ["oracle", "--n", "-3", "--pattern", "theta6-2"],
     ["oracle", "--n", "5", "--pattern", "theta6-2", "--jobs", "0"],
     ["oracle", "--n", "5", "--pattern", "theta-family:3"],
+    ["oracle", "--n", "1", "--pattern", "theta6-2", "--witnesses", "unused"],
     ["check-free", "--pattern", "theta-family:3"],
 ]
 

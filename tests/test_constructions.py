@@ -17,7 +17,7 @@ from triblock.plane_graph import normalize_edge
 
 
 def edge_face_lengths(pg, edge):
-    return sorted(pg.faces[f].length for f in pg.faces_of_edge(edge))
+    return sorted(pg.faces[f].dart_count for f in pg.faces_of_edge(edge))
 
 
 def test_gadget_a_counts_and_regularity():
@@ -88,7 +88,7 @@ def test_skeleton_counts(k: int):
     pg = skeleton.plane_graph
     assert skeleton.k == k
     assert (pg.n, pg.m) == (70 * k + 30, 150 * k + 60)
-    lengths = sorted(f.length for f in pg.faces)
+    lengths = sorted(f.dart_count for f in pg.faces)
     assert lengths.count(3) == 50 * k + 20
     assert lengths.count(5) == 30 * k + 12
     assert len(lengths) == 80 * k + 32
@@ -114,7 +114,7 @@ def test_skeleton_rejects_negative_k():
 def test_substitution_counts(k: int):
     graph = substitute_b5a(build_skeleton(k))
     assert (graph.n, graph.m) == (170 * k + 70, 450 * k + 180)
-    lengths = sorted(f.length for f in graph.faces)
+    lengths = sorted(f.dart_count for f in graph.faces)
     # every skeleton triangle becomes five triangles; pentagons survive
     assert lengths.count(3) == 5 * (50 * k + 20)
     assert lengths.count(5) == 30 * k + 12

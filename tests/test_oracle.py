@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +28,21 @@ from triblock.plane_graph import Graph
 K5 = Graph.from_edges(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
 K33 = Graph.from_edges(6, [(i, j + 3) for i in range(3) for j in range(3)])
 K6 = Graph.from_edges(6, [(i, j) for i in range(6) for j in range(i + 1, 6)])
+
+
+def test_importing_the_package_leaves_networkx_unloaded():
+    # Only the oracle's planarity test uses networkx, and it loads it then.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, triblock; print('networkx' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_planarity_of_the_standard_examples():

@@ -12,7 +12,6 @@ from triblock.plane_graph import (
     NonPlanarEmbedding,
     PlaneGraph,
     PlaneGraphError,
-    build_plane_graph,
     export_dot,
     format_planegraph,
     normalize_edge,
@@ -23,7 +22,7 @@ K4_ROTATIONS = [[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]]
 
 
 def test_k4_has_four_triangular_faces():
-    pg = build_plane_graph(4, K4_ROTATIONS)
+    pg = PlaneGraph(4, K4_ROTATIONS)
     assert (pg.n, pg.m, pg.face_count) == (4, 6, 4)
     assert all(f.is_triangle for f in pg.faces)
     assert sorted(pg.triangle_faces()) == [0, 1, 2, 3]
@@ -32,65 +31,65 @@ def test_k4_has_four_triangular_faces():
 def test_cycle_has_two_faces_of_full_length():
     k = 6
     rotations = [[(i - 1) % k, (i + 1) % k] for i in range(k)]
-    pg = build_plane_graph(k, rotations)
+    pg = PlaneGraph(k, rotations)
     assert pg.face_count == 2
-    assert sorted(f.length for f in pg.faces) == [k, k]
+    assert sorted(f.dart_count for f in pg.faces) == [k, k]
     assert not any(f.is_triangle for f in pg.faces)
 
 
 def test_star_face_walks_every_edge_twice():
     # K_{1,3}: one face whose walk has six darts but only three edges, so
     # it must not count as a triangle.
-    pg = build_plane_graph(4, [[1, 2, 3], [0], [0], [0]])
+    pg = PlaneGraph(4, [[1, 2, 3], [0], [0], [0]])
     assert pg.face_count == 1
     face = pg.faces[0]
     assert face.dart_count == 6
-    assert face.length == 3
+    assert len(face.edge_set) == 3
     assert not face.is_triangle
 
 
 def test_bridge_edge_has_equal_face_pair():
-    pg = build_plane_graph(4, [[1, 2, 3], [0], [0], [0]])
+    pg = PlaneGraph(4, [[1, 2, 3], [0], [0], [0]])
     assert pg.faces_of_edge(normalize_edge(0, 1)) == (0, 0)
 
 
 def test_toroidal_k4_rotation_rejected():
     with pytest.raises(NonPlanarEmbedding):
-        build_plane_graph(4, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+        PlaneGraph(4, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 
 
 def test_single_vertex_rejected():
     with pytest.raises(PlaneGraphError):
-        build_plane_graph(1, [[]])
+        PlaneGraph(1, [[]])
 
 
 def test_asymmetric_rotation_rejected():
     with pytest.raises(InconsistentRotation):
-        build_plane_graph(3, [[1, 2], [0], [1]])
+        PlaneGraph(3, [[1, 2], [0], [1]])
 
 
 def test_duplicate_neighbor_rejected():
     with pytest.raises(InconsistentRotation):
-        build_plane_graph(2, [[1, 1], [0]])
+        PlaneGraph(2, [[1, 1], [0]])
 
 
 def test_loop_rejected():
     with pytest.raises(InconsistentRotation):
-        build_plane_graph(2, [[1, 0], [0]])
+        PlaneGraph(2, [[1, 0], [0]])
 
 
 def test_disconnected_rejected():
     with pytest.raises(DisconnectedGraph):
-        build_plane_graph(4, [[1], [0], [3], [2]])
+        PlaneGraph(4, [[1], [0], [3], [2]])
 
 
 def test_dart_counts_sum_to_twice_edges():
-    pg = build_plane_graph(4, K4_ROTATIONS)
+    pg = PlaneGraph(4, K4_ROTATIONS)
     assert sum(f.dart_count for f in pg.faces) == 2 * pg.m
 
 
 def test_successor_walks_are_closed():
-    pg = build_plane_graph(4, K4_ROTATIONS)
+    pg = PlaneGraph(4, K4_ROTATIONS)
     for face in pg.faces:
         for dart, nxt in zip(face.walk, face.walk[1:] + face.walk[:1]):
             assert pg.successor(dart) == nxt
@@ -98,7 +97,7 @@ def test_successor_walks_are_closed():
 
 
 def test_immutability():
-    pg = build_plane_graph(4, K4_ROTATIONS)
+    pg = PlaneGraph(4, K4_ROTATIONS)
     with pytest.raises(AttributeError):
         pg.graph = None
 
@@ -117,7 +116,7 @@ def test_from_coordinates_collinear_neighbors_rejected():
 
 
 def test_format_parse_round_trip():
-    pg = build_plane_graph(4, K4_ROTATIONS)
+    pg = PlaneGraph(4, K4_ROTATIONS)
     text = format_planegraph(pg, comment="complete graph on four vertices")
     again = parse_planegraph(text)
     assert again.rotation == pg.rotation
@@ -141,7 +140,7 @@ def test_parse_ignores_comments_and_blank_lines():
 
 
 def test_export_dot_lists_every_edge():
-    pg = build_plane_graph(4, K4_ROTATIONS)
+    pg = PlaneGraph(4, K4_ROTATIONS)
     dot = export_dot(pg)
     assert dot.startswith("graph")
     assert dot.count("--") == pg.m
@@ -150,7 +149,7 @@ def test_export_dot_lists_every_edge():
 @given(st.integers(min_value=3, max_value=12))
 def test_cycle_round_trip_and_euler(k: int):
     rotations = [[(i - 1) % k, (i + 1) % k] for i in range(k)]
-    pg = build_plane_graph(k, rotations)
+    pg = PlaneGraph(k, rotations)
     assert pg.n - pg.m + pg.face_count == 2
     assert parse_planegraph(format_planegraph(pg)).rotation == pg.rotation
 
