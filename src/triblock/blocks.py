@@ -204,10 +204,16 @@ def decompose(pg: PlaneGraph) -> Decomposition:
                 )
             outer[block_id].append((face.index, count))
 
+    # A label depends only on the relabeled subgraph and the interior
+    # count, and a host repeats few shapes: classify each one once.
+    labels: dict[tuple[Graph, int], str] = {}
     blocks: list[TriangularBlock] = []
     for block_id, (edges, interior) in enumerate(raw):
         vertices = frozenset(v for edge in edges for v in edge)
         subgraph, _ = _relabeled(vertices, edges)
+        shape = (subgraph, len(interior))
+        if shape not in labels:
+            labels[shape] = classify(*shape)
         blocks.append(
             TriangularBlock(
                 id=block_id,
@@ -215,7 +221,7 @@ def decompose(pg: PlaneGraph) -> Decomposition:
                 vertices=vertices,
                 interior_faces=interior,
                 outer_faces=tuple(outer[block_id]),
-                label=classify(subgraph, len(interior)),
+                label=labels[shape],
             )
         )
     return Decomposition(blocks=tuple(blocks), edge_to_block=edge_to_block)

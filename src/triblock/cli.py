@@ -241,6 +241,9 @@ def _cmd_check_free(args: argparse.Namespace) -> int:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
+    if args.json and not args.verify:
+        print("error: --json needs --verify", file=sys.stderr)
+        return 1
     k = args.k
     if args.skeleton_only:
         skeleton = build_skeleton(k)
@@ -421,7 +424,11 @@ def build_parser() -> _Parser:
         action="store_true",
         help="re-verify extremality and print the report",
     )
-    p.add_argument("--json", action="store_true")
+    p.add_argument(
+        "--json",
+        action="store_true",
+        help="print the --verify report as JSON",
+    )
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("oracle", help="exhaustive maximum on small n")

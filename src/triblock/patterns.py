@@ -31,14 +31,28 @@ and related problems", JGAA 1999), where host-wide n-bit masks made a
 no-match search grow as n squared.  Disconnected patterns, and
 `isomorphic`, whose two graphs have equal order, search the whole host.
 
+The ball search also breaks the pattern's symmetry at the root, the
+standard device of subgraph enumeration (Grochow & Kellis, "Network motif
+discovery using subgraph enumeration and symmetry-breaking", RECOMB 2007).
+The plan positions whose pattern vertex lies in the automorphism orbit of
+the first vertex of the plan (`_root_orbit`, computed once per pattern)
+may only take ball vertices greater than the root.  This is exact: roots
+are tried in ascending order, so when the search reaches root r every root
+w < r came back empty, and (by this same argument, from the first root on)
+no copy is rooted at any such w.  A copy rooted at r that put an orbit
+vertex g(first vertex) on some w < r would, composed with the automorphism
+g, be a copy rooted at w, and there is none.  So the restriction removes
+no copy rooted at r, and the first witness is the same, hit or no hit.
+
 An anchored search (`contains_subgraph_using_edge`) builds one host-wide
 `_Host` and pins each pattern arc onto the new host edge in turn, but skips
 an arc that a pattern automorphism maps an earlier searched arc onto: that
 search came back empty, so this one would too, and skipping it does not
 change which witness is found first.  The arcs kept, one per automorphism
-orbit, are computed once per pattern.  Plans and kept arcs are cached for
-at most 64 patterns: `isomorphic` passes every graph it compares in as a
-pattern, so an unbounded cache would grow with every oracle sweep.
+orbit, are computed once per pattern.  Plans, kept arcs and root orbits
+are cached for at most 64 patterns: `isomorphic` passes every graph it
+compares in as a pattern, so an unbounded cache would grow with every
+oracle sweep.
 """
 
 from __future__ import annotations
@@ -205,14 +219,18 @@ class _Host:
 
 
 def _find_embedding(
-    plan: _Plan, host: _Host, fixed_hosts: Sequence[int] = ()
+    plan: _Plan,
+    host: _Host,
+    fixed_hosts: Sequence[int] = (),
+    above: Sequence[int] = (),
 ) -> tuple[int, ...] | None:
     """Injective edge-preserving map of the pattern into the host.
 
     ``plan.order`` fixes the assignment sequence of pattern vertices; the
     first ``len(fixed_hosts)`` of them are pinned to the given host
-    vertices.  Returns the mapping as a tuple indexed by pattern vertex, or
-    None.
+    vertices, and the positions in ``above`` may only take host vertices
+    greater than ``fixed_hosts[0]``.  Returns the mapping as a tuple
+    indexed by pattern vertex, or None.
     """
     order, earlier, degrees = plan
     p = len(order)
@@ -222,10 +240,13 @@ def _find_embedding(
     if p > len(masks) or max(degrees) >= len(at_least):
         return None
 
-    # Static per-position candidate filters: host degree and pinning.
+    # Static per-position candidate filters: host degree, pinning, and the
+    # vertices above the first pinned one.
     allowed = [at_least[d] for d in degrees]
     for i, v in enumerate(fixed_hosts):
         allowed[i] &= 1 << v
+    for i in above:
+        allowed[i] &= -2 << fixed_hosts[0]
 
     cand = [0] * p
     assigned = [0] * p
@@ -275,13 +296,32 @@ def _layers(adj: Sequence[Sequence[int]], root: int) -> Iterator[list[int]]:
         layer = reached
 
 
+@lru_cache(maxsize=64)
+def _root_orbit(adj: tuple[frozenset[int], ...]) -> tuple[int, ...]:
+    """The positions after 0 of the pattern's plan whose pattern vertex a
+    pattern automorphism maps the plan's first vertex onto.
+
+    The automorphisms come from the same kernel, embedding the pattern into
+    itself with position 0 pinned to each vertex in turn; equal order and
+    size make any hit one.
+    """
+    plan = _plan(adj, ())
+    itself = _Host.from_adjacency(adj)
+    return tuple(
+        i
+        for i, pv in enumerate(plan.order)
+        if i and _find_embedding(plan, itself, (pv,)) is not None
+    )
+
+
 def contains_subgraph(
     host: Graph | PlaneGraph, pattern: Graph
 ) -> EmbeddingWitness | None:
     """First containment witness in ascending host-vertex order, or None.
 
-    A connected pattern is searched one root ball at a time (see the
-    module docstring); the witness is the one a host-wide search finds.
+    A connected pattern is searched one root ball at a time, with the
+    root's automorphism orbit kept above the root (see the module
+    docstring); the witness is the one a host-wide search finds.
     """
     hg = _host_graph(host)
     if pattern.n > hg.n or pattern.m > hg.m:
@@ -295,6 +335,7 @@ def contains_subgraph(
     # Every vertex of a copy lies within this distance of its root.
     radius = sum(1 for _ in _layers(pattern_adj, plan.order[0])) - 1
     root_degree = plan.degrees[0]
+    orbit = _root_orbit(pattern_adj)
     slot = [0] * hg.n  # the bit of each vertex in the current ball, else 0
     for root in range(hg.n):
         if len(host_adj[root]) < root_degree:
@@ -306,7 +347,7 @@ def contains_subgraph(
         masks = [sum(map(slot.__getitem__, host_adj[v])) for v in ball]
         for v in ball:
             slot[v] = 0
-        mapping = _find_embedding(plan, _Host(masks), (ball.index(root),))
+        mapping = _find_embedding(plan, _Host(masks), (ball.index(root),), orbit)
         if mapping is not None:
             return EmbeddingWitness(tuple(ball[i] for i in mapping))
     return None

@@ -246,3 +246,34 @@ def test_outer_faces_match_a_recount_through_faces_of_edge():
             assert block.outer_faces == recounted_outer_faces(pg, block)
             bridges += block.is_trivial and len(block.outer_faces) == 1
     assert bridges > 0  # the thinned hosts exercise the two-step bridge case
+
+
+def test_decompose_classifies_each_block_shape_once(monkeypatch):
+    import triblock.blocks as blocks
+    from triblock.constructions import build_skeleton, substitute_b5a
+
+    family = substitute_b5a(build_skeleton(1))
+    rng = random.Random(7)
+    hosts = [family, thinned(family, 0.3, rng), thinned(catalog_plane_graph("B6"), 0.3, rng)]
+    hosts += [catalog_plane_graph(label) for label in CATALOG_LABELS]
+    calls: list[tuple[Graph, int]] = []
+
+    def counting(subgraph: Graph, interior_face_count: int) -> str:
+        calls.append((subgraph, interior_face_count))
+        return classify(subgraph, interior_face_count)
+
+    monkeypatch.setattr(blocks, "classify", counting)
+    labels = set()
+    for pg in hosts:
+        calls.clear()
+        dec = decompose(pg)
+        shapes = {(b.induced_subgraph()[0], len(b.interior_faces)) for b in dec.blocks}
+        assert len(calls) == len(set(calls)) == len(shapes)
+        # Each block gets the label an unmemoized classify gives it.
+        for b in dec.blocks:
+            assert b.label == classify(b.induced_subgraph()[0], len(b.interior_faces))
+            labels.add(b.label)
+    assert {"B2", "B3", "B5a"} <= labels
+    calls.clear()
+    assert len(decompose(family).blocks) > 1
+    assert len(calls) == 1  # every block of the family is the same B5a

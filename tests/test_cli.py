@@ -45,6 +45,8 @@ USAGE_ERRORS = [
     ["oracle", "--n", "5", "--pattern", "theta-family:3"],
     ["oracle", "--n", "1", "--pattern", "theta6-2", "--witnesses", "unused"],
     ["check-free", "--pattern", "theta-family:3"],
+    ["construct", "--k", "0", "--json"],  # --json needs --verify
+    ["construct", "--k", "0", "--skeleton-only", "--json"],
 ]
 
 

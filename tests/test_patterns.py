@@ -266,3 +266,66 @@ def test_theta_contains_itself_and_its_cycle(k: int, data):
 def test_cycles_are_theta_free(k: int):
     c = cycle_graph(k)
     assert is_free_of_all(c, theta_family(6))
+
+
+K4 = Graph.from_edges(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
+K23 = Graph.from_edges(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
+K13 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+
+
+def test_root_orbit_is_the_automorphism_orbit_of_the_first_position():
+    def orbit(pattern: Graph) -> tuple[int, ...]:
+        return patterns._root_orbit(pattern.adjacency())
+
+    # The chord ends of a theta are swapped by a reflection; a cycle's
+    # vertices are all alike; a star's center is fixed.
+    assert orbit(THETA6_1) == (1,)
+    assert orbit(THETA6_2) == (1,)
+    assert orbit(cycle_graph(4)) == (1, 2, 3)
+    assert orbit(K13) == ()
+    assert [orbit(t) for t in theta_family(7)] == [(1,), (1,)]
+
+
+def test_orbit_pruning_keeps_the_witness_of_symmetric_patterns():
+    # High-symmetry patterns prune the most; the first witness must still
+    # be the host-wide one, and the verdict the brute-force one.
+    rng = random.Random(909)
+    symmetric = (cycle_graph(4), cycle_graph(6), K4, K23, K13)
+    verdicts = set()
+    for _ in range(60):
+        n = rng.randint(5, 30)
+        p = rng.choice((0.15, 0.3, 0.5))
+        host = Graph.from_edges(
+            n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+        )
+        for pattern in symmetric:
+            witness = contains_subgraph(host, pattern)
+            mapping = None if witness is None else witness.mapping
+            expected = patterns._find_embedding(
+                patterns._plan(pattern.adjacency(), ()),
+                patterns._Host.from_adjacency(host.adjacency()),
+            )
+            assert mapping == expected, (n, sorted(host.edges), sorted(pattern.edges))
+            if n <= 8:
+                assert (brute_force_contains(host, pattern) is None) == (mapping is None)
+            verdicts.add(mapping is None)
+    assert verdicts == {True, False}
+
+
+def test_ball_search_keeps_the_root_orbit_above_the_root(monkeypatch):
+    host = substitute_b5a(build_skeleton(1)).graph
+    kernel = patterns._find_embedding
+    cases = [(THETA6_1, (1,)), (cycle_graph(4), (1, 2, 3)), (K13, ())]
+    for pattern, orbit in cases:
+        assert patterns._root_orbit(pattern.adjacency()) == orbit
+    handed: list[tuple[int, ...]] = []
+
+    def recording(plan, ball, fixed_hosts=(), above=()):
+        handed.append(tuple(above))
+        return kernel(plan, ball, fixed_hosts, above)
+
+    monkeypatch.setattr(patterns, "_find_embedding", recording)
+    for pattern, orbit in cases:
+        handed.clear()
+        contains_subgraph(host, pattern)
+        assert handed and set(handed) == {orbit}, sorted(pattern.edges)
