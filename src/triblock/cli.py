@@ -65,7 +65,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _int_at_least(low: int):
+def _int_from(low: int):
     """argparse type: an integer no smaller than ``low``."""
 
     def parse(text: str) -> int:
@@ -284,6 +284,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.witnesses and args.n < 2:
         print("error: --witnesses needs --n >= 2", file=sys.stderr)
         return 1
+    if args.witnesses:  # a bad path fails before the sweep, not after it
+        outdir = Path(args.witnesses)
+        outdir.mkdir(parents=True, exist_ok=True)
     result = max_edges(
         args.n,
         tuple(g for _, g in labeled),
@@ -308,8 +311,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             f"elapsed: {result.elapsed:.2f}s  kernel: {KERNEL_NAME}"
         )
     if args.witnesses:
-        outdir = Path(args.witnesses)
-        outdir.mkdir(parents=True, exist_ok=True)
         for i, edges in enumerate(result.witnesses):
             pg = arbitrary_embedding(Graph.from_edges(result.n, edges))
             text = format_planegraph(
@@ -411,7 +412,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("construct", help="build the extremal family")
     p.add_argument(
-        "--k", type=_int_at_least(0), required=True, help="family index >= 0"
+        "--k", type=_int_from(0), required=True, help="family index >= 0"
     )
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument(
@@ -432,9 +433,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("oracle", help="exhaustive maximum on small n")
-    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--n", type=_int_from(1), required=True)
     p.add_argument("--pattern", required=True)
-    p.add_argument("--jobs", type=_int_at_least(1), default=1)
+    p.add_argument("--jobs", type=_int_from(1), default=1)
     p.add_argument(
         "--witnesses",
         metavar="DIR",

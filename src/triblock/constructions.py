@@ -368,7 +368,7 @@ class ExtremalReport:
     n: int
     m: int
     counts_ok: bool
-    pattern_free: bool | None
+    pattern_free: bool
     blocks_all_b5a: bool
     all_g_zero: bool
     bound_equality: bool
@@ -381,7 +381,7 @@ class ExtremalReport:
         out = []
         if not self.counts_ok:
             out.append("counts")
-        if self.pattern_free is False:
+        if not self.pattern_free:
             out.append("freeness")
         if not self.blocks_all_b5a:
             out.append("blocks")
@@ -411,15 +411,15 @@ class ExtremalReport:
         }
 
 
-def verify_extremal(k: int, check_freeness: bool = True) -> ExtremalReport:
+def verify_extremal(k: int) -> ExtremalReport:
     """Build the k-th member and re-check everything that makes it
-    extremal: the vertex/edge counts, freeness of the long-chord theta
-    (optional), the block structure (one 5-vertex 9-edge block per
-    skeleton triangle), all cluster contributions exactly zero, and
-    equality 17*m = 45*(n - 2)."""
+    extremal: the vertex/edge counts, freeness of the long-chord theta,
+    the block structure (one 5-vertex 9-edge block per skeleton
+    triangle), all cluster contributions exactly zero, and equality
+    17*m = 45*(n - 2)."""
     graph = substitute_b5a(build_skeleton(k))
     counts_ok = (graph.n, graph.m) == (170 * k + 70, 450 * k + 180)
-    pattern_free = is_free(graph, THETA6_1) if check_freeness else None
+    pattern_free = is_free(graph, THETA6_1)
     dec = decompose(graph)
     blocks_all_b5a = len(dec.blocks) == 50 * k + 20 and all(
         b.label == "B5a" for b in dec.blocks

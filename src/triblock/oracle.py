@@ -109,14 +109,18 @@ def _triangle_count(g: Graph) -> int:
     return sum(len(adj[u] & adj[v]) for u, v in g.edges) // 3
 
 
-def _invariant_key(g: Graph) -> tuple:
+def _signatures(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
+    """Each vertex's isomorphism-invariant signature: its degree and its
+    neighbors' degrees in sorted order."""
     adj = g.adjacency()
-    neighbor_sig = tuple(
-        sorted(
-            tuple(sorted(len(adj[w]) for w in adj[v])) for v in range(g.n)
-        )
-    )
-    return (g.degree_sequence(), neighbor_sig, _triangle_count(g))
+    return [
+        (len(adj[v]), tuple(sorted(len(adj[w]) for w in adj[v])))
+        for v in range(g.n)
+    ]
+
+
+def _invariant_key(g: Graph) -> tuple:
+    return (tuple(sorted(_signatures(g))), _triangle_count(g))
 
 
 def _expand(
@@ -173,11 +177,7 @@ def canonical_edges(g: Graph) -> tuple[Edge, ...]:
     the class structure admits more than ``_RELABELING_BUDGET``
     relabelings (never the case at oracle sizes).
     """
-    adj = g.adjacency()
-    sig = {
-        v: (len(adj[v]), tuple(sorted(len(adj[w]) for w in adj[v])))
-        for v in range(g.n)
-    }
+    sig = _signatures(g)
     classes: dict[tuple, list[int]] = {}
     for v in range(g.n):
         classes.setdefault(sig[v], []).append(v)

@@ -7,50 +7,43 @@ to a host edge.  Extra host edges between image vertices are irrelevant.
 The search is one backtracking kernel (`_find_embedding`) that tries host
 candidates in ascending vertex order, so the first witness is
 deterministic: it is the least assignment sequence, compared position by
-position in the plan's order.  Host adjacency is kept as integer bitmasks,
-so each candidate step is a few integer operations.
-
-The kernel takes its two sides ready-made: a `_Plan` holds the pattern-only
-work (assignment order, the earlier neighbors of each position, the degree
-each position needs) and a `_Host` the host bitmasks.
+position in the plan's order.  A host is handed to the kernel as plain
+rows, a list holding the neighbors of each vertex as an integer bitmask,
+so each candidate step is a few integer operations.  A `_Plan` holds the
+pattern side: the assignment order and the earlier neighbors of each
+position.
 
 `contains_subgraph` does not hand the kernel the whole host when the
 pattern is connected.  Every vertex of a copy lies within distance
 r = ecc(first vertex of the plan) of the host vertex at position 0, so it
-loops over the host vertices in ascending order as roots, builds a `_Host`
+loops over the host vertices in ascending order as roots, builds the rows
 of the radius-r ball around each root (relabeled to 0..b-1 in ascending
-order, with the induced edges), and runs the kernel on it with position 0
-pinned to the root.  A ball holds every copy rooted there, and relabeling
-keeps the order of its vertices, so the first witness is the one the
-host-wide search finds; a vertex's degree inside the ball can be lower than
-in the host, but a vertex whose in-ball degree is too low is in no copy
-rooted there.  On a planar host of bounded degree, such as the extremal
-family, the balls have bounded size and the search takes time linear in n
-(the locality argument of Eppstein, "Subgraph isomorphism in planar graphs
-and related problems", JGAA 1999), where host-wide n-bit masks made a
-no-match search grow as n squared.  Disconnected patterns, and
-`isomorphic`, whose two graphs have equal order, search the whole host.
+order, with the induced edges), and runs the kernel on them with position
+0 pinned to the root.  A ball holds every copy rooted there, and
+relabeling keeps the order of its vertices, so the first witness is the
+one the host-wide search finds.  On a planar host of bounded degree, such
+as the extremal family, the balls have bounded size and the search takes
+time linear in n (the locality argument of Eppstein, "Subgraph
+isomorphism in planar graphs and related problems", JGAA 1999), where
+host-wide n-bit masks made a no-match search grow as n squared.
+Disconnected patterns, and `isomorphic`, whose two graphs have equal
+order, search the whole host.
 
 The ball search also breaks the pattern's symmetry at the root, the
 standard device of subgraph enumeration (Grochow & Kellis, "Network motif
-discovery using subgraph enumeration and symmetry-breaking", RECOMB 2007).
-The plan positions whose pattern vertex lies in the automorphism orbit of
-the first vertex of the plan (`_root_orbit`, computed once per pattern)
-may only take ball vertices greater than the root.  This is exact: roots
-are tried in ascending order, so when the search reaches root r every root
-w < r came back empty, and (by this same argument, from the first root on)
-no copy is rooted at any such w.  A copy rooted at r that put an orbit
-vertex g(first vertex) on some w < r would, composed with the automorphism
-g, be a copy rooted at w, and there is none.  So the restriction removes
-no copy rooted at r, and the first witness is the same, hit or no hit.
+discovery using subgraph enumeration and symmetry-breaking", RECOMB 2007):
+the plan positions in the automorphism orbit of the plan's first vertex
+may only take ball vertices greater than the root.  An anchored search
+(`contains_subgraph_using_edge`) pins each pattern arc onto the new host
+edge in turn, host-wide, but skips an arc that a pattern automorphism maps
+an earlier searched arc onto.  `_prepare` gives both restrictions, and why
+each keeps the first witness.
 
-An anchored search (`contains_subgraph_using_edge`) builds one host-wide
-`_Host` and pins each pattern arc onto the new host edge in turn, but skips
-an arc that a pattern automorphism maps an earlier searched arc onto: that
-search came back empty, so this one would too, and skipping it does not
-change which witness is found first.  The arcs kept, one per automorphism
-orbit, are computed once per pattern.  Plans, kept arcs and root orbits
-are cached for at most 64 patterns: `isomorphic` passes every graph it
+Each pattern is prepared once (`_prepare`): its plan, its radius (None
+when disconnected), its root orbit and its anchored plans.  `isomorphic`
+and the block classification through it build only a plan (`_plan`), so
+the graphs they compare get no orbits computed for nothing.  Each of the
+two caches holds at most 64 entries: `isomorphic` passes every graph it
 compares in as a pattern, so an unbounded cache would grow with every
 oracle sweep.
 """
@@ -169,13 +162,11 @@ def _order(adj: tuple[frozenset[int], ...], fixed: tuple[int, ...]) -> tuple[int
 
 
 class _Plan(NamedTuple):
-    """The pattern side of one search: the assignment order, for each
-    position the earlier positions holding pattern neighbors, and the host
-    degree each position needs."""
+    """The pattern side of one search: the assignment order, and for each
+    position the earlier positions holding pattern neighbors."""
 
     order: tuple[int, ...]
     earlier: tuple[tuple[int, ...], ...]
-    degrees: tuple[int, ...]
 
 
 @lru_cache(maxsize=64)
@@ -188,43 +179,23 @@ def _plan(adj: tuple[frozenset[int], ...], fixed: tuple[int, ...]) -> _Plan:
         tuple(j for j in (pos_of[w] for w in adj[pv]) if j < i)
         for i, pv in enumerate(order)
     )
-    return _Plan(order, earlier, tuple(len(adj[pv]) for pv in order))
+    return _Plan(order, earlier)
 
 
-class _Host:
-    """The host side of a search: ``masks[v]``, the neighbors of v as an
-    integer bitmask, and ``at_least[d]``, the mask of vertices with at
-    least d neighbors.
-
-    Built for a whole host by `from_adjacency`, or by `contains_subgraph`
-    for one ball relabeled to 0..b-1; a ball of a bounded-degree planar
-    host has a few dozen vertices, so its masks are small integers.
-    """
-
-    __slots__ = ("masks", "at_least")
-
-    def __init__(self, masks: list[int]):
-        at_least = [0] * (max((m.bit_count() for m in masks), default=0) + 1)
-        for v, mask in enumerate(masks):
-            at_least[mask.bit_count()] |= 1 << v
-        for d in range(len(at_least) - 2, -1, -1):
-            at_least[d] |= at_least[d + 1]
-        self.masks = masks
-        self.at_least = at_least
-
-    @classmethod
-    def from_adjacency(cls, adj: Sequence[Iterable[int]]) -> _Host:
-        """The whole host, with vertex v as bit v."""
-        return cls([sum(1 << w for w in nbrs) for nbrs in adj])
+def _rows(adj: Sequence[Iterable[int]]) -> list[int]:
+    """Whole-host rows: the neighbors of each vertex v as an integer
+    bitmask, with vertex w as bit w."""
+    return [sum(1 << w for w in nbrs) for nbrs in adj]
 
 
 def _find_embedding(
     plan: _Plan,
-    host: _Host,
+    masks: list[int],
     fixed_hosts: Sequence[int] = (),
     above: Sequence[int] = (),
 ) -> tuple[int, ...] | None:
-    """Injective edge-preserving map of the pattern into the host.
+    """Injective edge-preserving map of the pattern into the host whose
+    rows are ``masks``.
 
     ``plan.order`` fixes the assignment sequence of pattern vertices; the
     first ``len(fixed_hosts)`` of them are pinned to the given host
@@ -232,19 +203,18 @@ def _find_embedding(
     greater than ``fixed_hosts[0]``.  Returns the mapping as a tuple
     indexed by pattern vertex, or None.
     """
-    order, earlier, degrees = plan
+    order, earlier = plan
     p = len(order)
     if p == 0:
         return ()
-    masks, at_least = host.masks, host.at_least
-    if p > len(masks) or max(degrees) >= len(at_least):
+    if p > len(masks):
         return None
 
-    # Static per-position candidate filters: host degree, pinning, and the
-    # vertices above the first pinned one.
-    allowed = [at_least[d] for d in degrees]
+    # Static per-position candidate filters: pinning, and the vertices
+    # above the first pinned one.
+    allowed = [(1 << len(masks)) - 1] * p
     for i, v in enumerate(fixed_hosts):
-        allowed[i] &= 1 << v
+        allowed[i] = 1 << v
     for i in above:
         allowed[i] &= -2 << fixed_hosts[0]
 
@@ -296,22 +266,67 @@ def _layers(adj: Sequence[Sequence[int]], root: int) -> Iterator[list[int]]:
         layer = reached
 
 
-@lru_cache(maxsize=64)
-def _root_orbit(adj: tuple[frozenset[int], ...]) -> tuple[int, ...]:
-    """The positions after 0 of the pattern's plan whose pattern vertex a
-    pattern automorphism maps the plan's first vertex onto.
+class _Pattern(NamedTuple):
+    """Everything the searches need from one pattern; see `_prepare`."""
 
-    The automorphisms come from the same kernel, embedding the pattern into
-    itself with position 0 pinned to each vertex in turn; equal order and
-    size make any hit one.
+    plan: _Plan
+    radius: int | None
+    orbit: tuple[int, ...]
+    anchored: tuple[_Plan, ...]
+
+
+@lru_cache(maxsize=64)
+def _prepare(adj: tuple[frozenset[int], ...]) -> _Pattern:
+    """The pattern-only work of `contains_subgraph` and
+    `contains_subgraph_using_edge`, done once per pattern.
+
+    ``plan`` is the unpinned plan.  ``radius`` is the eccentricity of its
+    first vertex, so every vertex of a copy lies within that distance of
+    the host vertex at position 0; it is None for a disconnected (or
+    empty) pattern, which is searched host-wide.
+
+    ``orbit`` holds the plan positions after 0 whose pattern vertex a
+    pattern automorphism maps the plan's first vertex onto (empty for a
+    disconnected pattern).  In the ball search they may only take ball
+    vertices greater than the root.  This is exact: roots are tried in
+    ascending order, so when the search reaches root r every root w < r
+    came back empty, and (by this same argument, from the first root on)
+    no copy is rooted at any such w.  A copy rooted at r that put an orbit
+    vertex g(first vertex) on some w < r would, composed with the
+    automorphism g, be a copy rooted at w, and there is none.  So the
+    restriction removes no copy rooted at r, and the first witness is the
+    same, hit or no hit.
+
+    ``anchored`` holds one plan per pattern arc worth pinning onto a host
+    edge, in search order: the sorted pattern edges, each as (a, b) and
+    then (b, a).  An arc that a pattern automorphism maps an earlier kept
+    arc onto is left out: a copy anchored on it, composed with that
+    automorphism, would be a copy anchored on the earlier arc, whose
+    search came back empty.  Pinning the arc (b, a) onto (u, v) is the
+    same search as pinning (a, b) onto (v, u): the greedy order after the
+    two pinned vertices depends only on which vertices are placed.
+
+    Both kinds of automorphism come from the same kernel, embedding the
+    pattern into its own rows with a vertex or an arc pinned; equal order
+    and size make any hit one.
     """
     plan = _plan(adj, ())
-    itself = _Host.from_adjacency(adj)
-    return tuple(
+    itself = _rows(adj)
+    anchored: list[_Plan] = []
+    edges = sorted((a, b) for a, nbrs in enumerate(adj) for b in nbrs if a < b)
+    for a, b in edges:
+        for arc in ((a, b), (b, a)):
+            if all(_find_embedding(kept, itself, arc) is None for kept in anchored):
+                anchored.append(_plan(adj, arc))
+    layers = list(_layers(adj, plan.order[0])) if adj else []
+    if not layers or sum(map(len, layers)) < len(adj):
+        return _Pattern(plan, None, (), tuple(anchored))
+    orbit = tuple(
         i
         for i, pv in enumerate(plan.order)
         if i and _find_embedding(plan, itself, (pv,)) is not None
     )
+    return _Pattern(plan, len(layers) - 1, orbit, tuple(anchored))
 
 
 def contains_subgraph(
@@ -327,15 +342,12 @@ def contains_subgraph(
     if pattern.n > hg.n or pattern.m > hg.m:
         return None
     pattern_adj = pattern.adjacency()
-    plan = _plan(pattern_adj, ())
+    plan, radius, orbit, _ = _prepare(pattern_adj)
     host_adj = hg.adjacency()
-    if not pattern.is_connected():
-        mapping = _find_embedding(plan, _Host.from_adjacency(host_adj))
+    if radius is None:
+        mapping = _find_embedding(plan, _rows(host_adj))
         return None if mapping is None else EmbeddingWitness(mapping)
-    # Every vertex of a copy lies within this distance of its root.
-    radius = sum(1 for _ in _layers(pattern_adj, plan.order[0])) - 1
-    root_degree = plan.degrees[0]
-    orbit = _root_orbit(pattern_adj)
+    root_degree = len(pattern_adj[plan.order[0]])
     slot = [0] * hg.n  # the bit of each vertex in the current ball, else 0
     for root in range(hg.n):
         if len(host_adj[root]) < root_degree:
@@ -347,34 +359,10 @@ def contains_subgraph(
         masks = [sum(map(slot.__getitem__, host_adj[v])) for v in ball]
         for v in ball:
             slot[v] = 0
-        mapping = _find_embedding(plan, _Host(masks), (ball.index(root),), orbit)
+        mapping = _find_embedding(plan, masks, (ball.index(root),), orbit)
         if mapping is not None:
             return EmbeddingWitness(tuple(ball[i] for i in mapping))
     return None
-
-
-@lru_cache(maxsize=64)
-def _anchored_plans(adj: tuple[frozenset[int], ...]) -> tuple[_Plan, ...]:
-    """One plan per pattern arc worth pinning onto the host edge, in search
-    order: the sorted pattern edges, each as (a, b) and then (b, a).
-
-    An arc that a pattern automorphism maps an earlier kept arc onto is
-    left out: a copy anchored on it, composed with that automorphism, would
-    be a copy anchored on the earlier arc, whose search came back empty.
-    The automorphisms come from the same kernel, embedding the pattern into
-    itself with the arc pinned; equal order and size make any hit one.
-    Pinning the arc (b, a) onto (u, v) is the same search as pinning
-    (a, b) onto (v, u): the greedy order after the two pinned vertices
-    depends only on which vertices are placed.
-    """
-    itself = _Host.from_adjacency(adj)
-    plans: list[_Plan] = []
-    edges = sorted((a, b) for a, nbrs in enumerate(adj) for b in nbrs if a < b)
-    for a, b in edges:
-        for arc in ((a, b), (b, a)):
-            if all(_find_embedding(plan, itself, arc) is None for plan in plans):
-                plans.append(_plan(adj, arc))
-    return tuple(plans)
 
 
 def contains_subgraph_using_edge(
@@ -391,8 +379,8 @@ def contains_subgraph_using_edge(
     u, v = edge
     if not hg.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not a host edge")
-    target = _Host.from_adjacency(hg.adjacency())
-    for plan in _anchored_plans(pattern.adjacency()):
+    target = _rows(hg.adjacency())
+    for plan in _prepare(pattern.adjacency()).anchored:
         mapping = _find_embedding(plan, target, edge)
         if mapping is not None:
             return EmbeddingWitness(mapping)
@@ -441,4 +429,4 @@ def isomorphic(g: Graph, h: Graph) -> bool:
         return False
     # Host-wide: with equal order, a root ball is at best the whole graph.
     plan = _plan(g.adjacency(), ())
-    return _find_embedding(plan, _Host.from_adjacency(h.adjacency())) is not None
+    return _find_embedding(plan, _rows(h.adjacency())) is not None

@@ -305,6 +305,16 @@ def test_oracle_json_and_witness_files(capsys, tmp_path):
     assert (pg.n, pg.m) == (5, 9)
 
 
+def test_oracle_rejects_a_witness_path_before_the_sweep(capsys, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    argv = ["oracle", "--n", "3", "--pattern", "theta6-1", "--witnesses", str(taken)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_oracle_cap_is_a_usage_error(capsys):
     assert main(["oracle", "--n", "9", "--pattern", "theta6-1"]) == 1
     capsys.readouterr()

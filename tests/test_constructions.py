@@ -161,11 +161,11 @@ def test_verify_extremal(k: int):
 
 
 def test_verify_extremal_report_json():
-    report = verify_extremal(0, check_freeness=False)
+    report = verify_extremal(0)
     data = report.to_json_dict()
     assert data["k"] == 0
     assert data["n"] == 70 and data["m"] == 180
-    assert data["pattern_free"] is None
+    assert data["pattern_free"] is True
     assert data["failures"] == []
     assert data["ok"] is True
     assert data["certificate"]["spec"] == "theta6-1"

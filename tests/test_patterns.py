@@ -198,7 +198,7 @@ def test_ball_search_finds_the_host_wide_witness():
             mapping = None if witness is None else witness.mapping
             expected = patterns._find_embedding(
                 patterns._plan(pattern.adjacency(), ()),
-                patterns._Host.from_adjacency(host.adjacency()),
+                patterns._rows(host.adjacency()),
             )
             assert mapping == expected, (host.n, sorted(host.edges), sorted(pattern.edges))
             verdicts.add(mapping is None)
@@ -207,16 +207,18 @@ def test_ball_search_finds_the_host_wide_witness():
 
 def test_connected_patterns_never_search_the_whole_host(monkeypatch):
     sizes: list[int] = []
+    kernel = patterns._find_embedding
 
-    class RecordingHost(patterns._Host):
-        def __init__(self, masks):
-            sizes.append(len(masks))
-            super().__init__(masks)
+    def recording(plan, masks, fixed_hosts=(), above=()):
+        sizes.append(len(masks))
+        return kernel(plan, masks, fixed_hosts, above)
 
     host = substitute_b5a(build_skeleton(2)).graph
     n = host.n
     reversed_host = Graph.from_edges(n, [(n - 1 - a, n - 1 - b) for a, b in host.edges])
-    monkeypatch.setattr(patterns, "_Host", RecordingHost)
+    for pattern in (THETA6_1, THETA6_2, cycle_graph(4), TWO_EDGES):
+        patterns._prepare(pattern.adjacency())  # self-searches are not host searches
+    monkeypatch.setattr(patterns, "_find_embedding", recording)
     for pattern in (THETA6_1, THETA6_2, cycle_graph(4)):
         sizes.clear()
         contains_subgraph(host, pattern)
@@ -275,7 +277,7 @@ K13 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
 
 def test_root_orbit_is_the_automorphism_orbit_of_the_first_position():
     def orbit(pattern: Graph) -> tuple[int, ...]:
-        return patterns._root_orbit(pattern.adjacency())
+        return patterns._prepare(pattern.adjacency()).orbit
 
     # The chord ends of a theta are swapped by a reflection; a cycle's
     # vertices are all alike; a star's center is fixed.
@@ -303,7 +305,7 @@ def test_orbit_pruning_keeps_the_witness_of_symmetric_patterns():
             mapping = None if witness is None else witness.mapping
             expected = patterns._find_embedding(
                 patterns._plan(pattern.adjacency(), ()),
-                patterns._Host.from_adjacency(host.adjacency()),
+                patterns._rows(host.adjacency()),
             )
             assert mapping == expected, (n, sorted(host.edges), sorted(pattern.edges))
             if n <= 8:
@@ -317,15 +319,61 @@ def test_ball_search_keeps_the_root_orbit_above_the_root(monkeypatch):
     kernel = patterns._find_embedding
     cases = [(THETA6_1, (1,)), (cycle_graph(4), (1, 2, 3)), (K13, ())]
     for pattern, orbit in cases:
-        assert patterns._root_orbit(pattern.adjacency()) == orbit
+        assert patterns._prepare(pattern.adjacency()).orbit == orbit
     handed: list[tuple[int, ...]] = []
 
-    def recording(plan, ball, fixed_hosts=(), above=()):
+    def recording(plan, masks, fixed_hosts=(), above=()):
         handed.append(tuple(above))
-        return kernel(plan, ball, fixed_hosts, above)
+        return kernel(plan, masks, fixed_hosts, above)
 
     monkeypatch.setattr(patterns, "_find_embedding", recording)
     for pattern, orbit in cases:
         handed.clear()
         contains_subgraph(host, pattern)
         assert handed and set(handed) == {orbit}, sorted(pattern.edges)
+
+
+def test_prepare_records_radius_orbit_and_anchored_plans():
+    prepared = {
+        "THETA6_1": patterns._prepare(THETA6_1.adjacency()),
+        "THETA6_2": patterns._prepare(THETA6_2.adjacency()),
+        "C4": patterns._prepare(cycle_graph(4).adjacency()),
+        "K13": patterns._prepare(K13.adjacency()),
+        "TWO_EDGES": patterns._prepare(TWO_EDGES.adjacency()),
+    }
+    assert {name: p.radius for name, p in prepared.items()} == {
+        "THETA6_1": 2, "THETA6_2": 2, "C4": 2, "K13": 1, "TWO_EDGES": None,
+    }
+    assert [prepared[name].orbit for name in ("THETA6_1", "THETA6_2", "C4", "K13")] == [
+        (1,), (1,), (1, 2, 3), (),
+    ]
+    assert len(prepared["THETA6_1"].anchored) == 4
+    assert len(prepared["THETA6_2"].anchored) == 7
+    for name, pattern in (("THETA6_1", THETA6_1), ("THETA6_2", THETA6_2)):
+        assert prepared[name].plan == patterns._plan(pattern.adjacency(), ())
+
+
+K15 = Graph.from_edges(6, [(0, i) for i in range(1, 6)])
+
+
+def test_pattern_needing_more_degree_than_the_host_has_is_not_found():
+    # No vertex of the skeleton or of a small random host has degree 5, so
+    # no star K1,5 fits, whether the search runs per root ball or host-wide.
+    skeleton = build_skeleton(0).plane_graph.graph
+    assert max(skeleton.degree_sequence()) < 5
+    assert contains_subgraph(skeleton, K15) is None
+    assert patterns._find_embedding(
+        patterns._plan(K15.adjacency(), ()), patterns._rows(skeleton.adjacency())
+    ) is None
+    rng = random.Random(5)
+    verdicts = set()
+    for _ in range(40):
+        n = rng.randint(6, 8)
+        host = Graph.from_edges(
+            n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.45]
+        )
+        witness = contains_subgraph(host, K15)
+        assert (witness is None) == (brute_force_contains(host, K15) is None)
+        assert (witness is None) == (max(host.degree_sequence()) < 5)
+        verdicts.add(witness is None)
+    assert verdicts == {True, False}
