@@ -8,15 +8,16 @@ B2 of its own.  Block edge sets partition the edge set of the graph, and
 any face adjacent to a block without being interior to it cannot itself be
 a triangle — both facts are asserted on every decomposition rather than
 assumed.  The faces a block meets without containing are its *outer
-faces*; one pass over the face walks records them, with the number of walk
-steps that run along block edges, and that ledger is all the face data
-:mod:`triblock.contribution` needs.
+faces*; one pass over the face walks, reading the block of each dart,
+records them with the number of walk steps that run along block edges,
+and that ledger is all the face data :mod:`triblock.contribution` needs.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from . import catalog
 from .patterns import isomorphic
@@ -48,8 +49,9 @@ def _relabeled(
     """See :meth:`TriangularBlock.induced_subgraph`."""
     originals = tuple(sorted(vertices))
     index = {v: i for i, v in enumerate(originals)}
-    relabeled = Graph.from_edges(
-        len(originals), ((index[u], index[v]) for u, v in edges)
+    # index is increasing, so each relabeled pair stays sorted.
+    relabeled = Graph(
+        len(originals), frozenset((index[u], index[v]) for u, v in edges)
     )
     return relabeled, originals
 
@@ -133,11 +135,11 @@ def decompose(pg: PlaneGraph) -> Decomposition:
     Deterministic: blocks are ordered by their smallest edge, and ids
     follow that order.
     """
-    faces = pg.faces
+    faces, tail, head, twin, face = pg.faces, pg.tail, pg.head, pg.twin, pg.face
     triangles = pg.triangle_faces()
 
-    # Flood fill over 3-faces: each step (v, w) of a walk crosses to the
-    # face on the other side of its edge, the face of the dart (w, v).
+    # Flood fill over 3-faces: each dart of a walk crosses to the face on
+    # the other side of its edge, the face of its twin.
     unabsorbed = set(triangles)
     groups: list[list[int]] = []
     for fid in triangles:
@@ -146,8 +148,8 @@ def decompose(pg: PlaneGraph) -> Decomposition:
         unabsorbed.remove(fid)
         group = [fid]
         for current in group:  # the group grows while it is scanned
-            for v, w in faces[current].walk:
-                other = pg.face_of_dart((w, v))
+            for d in faces[current].darts:
+                other = face[twin[d]]
                 if other in unabsorbed:
                     unabsorbed.remove(other)
                     group.append(other)
@@ -157,13 +159,13 @@ def decompose(pg: PlaneGraph) -> Decomposition:
     covered: set[Edge] = set()
     for group in groups:
         edges = frozenset(
-            normalize_edge(v, w) for fid in group for v, w in faces[fid].walk
+            normalize_edge(tail[d], head[d])
+            for fid in group
+            for d in faces[fid].darts
         )
         raw.append((edges, tuple(sorted(group))))
         covered |= edges
-    for edge in pg.graph.edges:
-        if edge not in covered:
-            raw.append((frozenset((edge,)), ()))
+    raw.extend((frozenset((edge,)), ()) for edge in pg.graph.edges - covered)
 
     raw.sort(key=lambda item: min(item[0]))
 
@@ -183,33 +185,46 @@ def decompose(pg: PlaneGraph) -> Decomposition:
             f"blocks cover {len(edge_to_block)} of {pg.m} edges"
         )
 
-    # One pass over the face walks: every step lands on the block of its
-    # edge, and a face is outer to each block it steps on without being
-    # interior to it.  Such a face cannot be a triangle: the flood fill
-    # would have absorbed it (or made a trivial block non-trivial).
+    # The block of every dart: an interior face's darts and their twins
+    # run along its block's edges, and a trivial block is one edge.
+    dart_block = [-1] * len(tail)
+    for block_id, (edges, interior) in enumerate(raw):
+        if interior:
+            for fid in interior:
+                for d in faces[fid].darts:
+                    dart_block[d] = dart_block[twin[d]] = block_id
+        else:
+            (edge,) = edges
+            d = pg.dart(*edge)
+            dart_block[d] = dart_block[twin[d]] = block_id
+
+    # One pass over the walks of the faces no block contains (every dart
+    # of an interior face lies on its own block): each dart lands on the
+    # block of its edge, and the face is outer to each block it steps on.
+    # Such a face cannot be a triangle: the flood fill would have absorbed
+    # it (or made a trivial block non-trivial).
     outer: list[list[tuple[int, int]]] = [[] for _ in raw]
-    for face in faces:
+    for f in faces:
+        if f.index in interior_of:
+            continue
         steps: dict[int, int] = {}
-        for v, w in face.walk:
-            block_id = edge_to_block[normalize_edge(v, w)]
+        for d in f.darts:
+            block_id = dart_block[d]
             steps[block_id] = steps.get(block_id, 0) + 1
-        home = interior_of.get(face.index)
         for block_id, count in steps.items():
-            if block_id == home:
-                continue
-            if face.is_triangle:
+            if f.is_triangle:
                 raise DecompositionError(
-                    f"3-face {face.index} is adjacent to block {block_id} "
+                    f"3-face {f.index} is adjacent to block {block_id} "
                     "without being interior to it"
                 )
-            outer[block_id].append((face.index, count))
+            outer[block_id].append((f.index, count))
 
     # A label depends only on the relabeled subgraph and the interior
     # count, and a host repeats few shapes: classify each one once.
     labels: dict[tuple[Graph, int], str] = {}
     blocks: list[TriangularBlock] = []
     for block_id, (edges, interior) in enumerate(raw):
-        vertices = frozenset(v for edge in edges for v in edge)
+        vertices = frozenset(chain.from_iterable(edges))
         subgraph, _ = _relabeled(vertices, edges)
         shape = (subgraph, len(interior))
         if shape not in labels:

@@ -28,7 +28,7 @@ from .constructions import (
     verify_extremal,
 )
 from .contribution import TooSmall, certify, get_spec
-from .oracle import CapExceeded, arbitrary_embedding, max_edges
+from .oracle import CapExceeded, arbitrary_embedding, check_cap, max_edges
 from .patterns import (
     KERNEL_NAME,
     contains_subgraph,
@@ -285,6 +285,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         print("error: --witnesses needs --n >= 2", file=sys.stderr)
         return 1
     if args.witnesses:  # a bad path fails before the sweep, not after it
+        check_cap(args.n, args.force)  # and a refused sweep leaves no DIR
         outdir = Path(args.witnesses)
         outdir.mkdir(parents=True, exist_ok=True)
     result = max_edges(

@@ -124,17 +124,18 @@ class Gadget:
     blue_pentagon: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        pg = self.plane_graph
         junction: set[Edge] = set()
         for pent in (self.red_pentagon, self.blue_pentagon):
             ring = _pentagon_ring(pent)
             if ring is None or not any(
-                face.edge_set == ring for face in self.plane_graph.faces
+                pg.face_edges(fid) == ring for fid in range(pg.face_count)
             ):
                 raise GluingMismatch(
                     f"{pent} is not a pentagonal face of the gadget"
                 )
             junction.update(ring)
-        _check_gadget_invariants(self.plane_graph, frozenset(junction))
+        _check_gadget_invariants(pg, frozenset(junction))
 
 
 def _pentagon_ring(pent: tuple[int, ...]) -> frozenset[Edge] | None:
@@ -344,7 +345,7 @@ def substitute_b5a(skeleton: SkeletonGraph) -> PlaneGraph:
     pg = skeleton.plane_graph
     rows = [list(row) for row in pg.rotation]
     for fid in pg.triangle_faces():
-        walk = pg.faces[fid].vertices()
+        walk = pg.face_vertices(fid)
         i = walk.index(min(walk))
         a, b, c = walk[i:] + walk[:i]  # a is the smallest corner
         u = _plant(rows, (a, b, c))

@@ -245,8 +245,7 @@ def _bbar_partners(
                 stacklevel=3,
             )
             return None
-        face = pg.faces[f1]
-        outside_vertices = set(face.vertices()) - block.vertices
+        outside_vertices = set(pg.face_vertices(f1)) - block.vertices
         if len(outside_vertices) != 1:
             warnings.warn(
                 MalformedNeighborhood(
@@ -265,7 +264,7 @@ def _bbar_partners(
                 normalize_edge(frame.x3, apex),
             )
         )
-        if face.edge_set != expected:
+        if pg.face_edges(f1) != expected:
             warnings.warn(
                 MalformedNeighborhood(
                     f"block {block.id}: face {f1} lacks the forced quad shape"

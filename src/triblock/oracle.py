@@ -55,6 +55,7 @@ __all__ = [
     "OracleResult",
     "arbitrary_embedding",
     "canonical_edges",
+    "check_cap",
     "is_planar",
     "max_edges",
     "planar_by_embedding_search",
@@ -70,7 +71,18 @@ _RELABELING_BUDGET = 10**6
 
 
 class CapExceeded(ValueError):
-    """The requested n exceeds the safety cap (the search is exponential)."""
+    """The requested work exceeds a safety cap: n past the sweep's cap (the
+    search is exponential), or a canonical form past its relabeling
+    budget."""
+
+
+def check_cap(n: int, force: bool = False) -> None:
+    """Raise CapExceeded when n is past the sweep's cap and not forced."""
+    if n > _N_CAP and not force:
+        raise CapExceeded(
+            f"n={n} exceeds the cap of {_N_CAP}; the sweep is exponential. "
+            "Pass force=True (or --force) to run it anyway."
+        )
 
 
 def _check_planarity(g: Graph):
@@ -173,9 +185,9 @@ def canonical_edges(g: Graph) -> tuple[Edge, ...]:
     the (degree, sorted neighbor degrees) classes.
 
     The class signature is isomorphism-invariant, so isomorphic graphs get
-    identical canonical tuples.  Falls back to the identity labeling when
-    the class structure admits more than ``_RELABELING_BUDGET``
-    relabelings (never the case at oracle sizes).
+    identical canonical tuples.  Raises CapExceeded when the class
+    structure admits more than ``_RELABELING_BUDGET`` relabelings (never
+    the case at oracle sizes): any cheaper answer would not be canonical.
     """
     sig = _signatures(g)
     classes: dict[tuple, list[int]] = {}
@@ -184,7 +196,11 @@ def canonical_edges(g: Graph) -> tuple[Edge, ...]:
     ordered = [classes[key] for key in sorted(classes)]
     relabelings = math.prod(math.factorial(len(c)) for c in ordered)
     if relabelings > _RELABELING_BUDGET:
-        return tuple(sorted(g.edges))
+        raise CapExceeded(
+            f"canonical form of a graph on {g.n} vertices needs "
+            f"{relabelings} relabelings, over the budget of "
+            f"{_RELABELING_BUDGET}"
+        )
     best: tuple[Edge, ...] | None = None
     for combo in itertools.product(
         *(itertools.permutations(c) for c in ordered)
@@ -246,11 +262,7 @@ def max_edges(
         raise ValueError(f"n must be positive, got {n}")
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
-    if n > _N_CAP and not force:
-        raise CapExceeded(
-            f"n={n} exceeds the cap of {_N_CAP}; the sweep is exponential. "
-            "Pass force=True (or --force) to run it anyway."
-        )
+    check_cap(n, force)
     jobs = min(jobs, os.cpu_count() or 1)  # more workers than cores only thrash
     start = time.perf_counter()
     level: list[Graph] = [Graph.from_edges(n, ())]

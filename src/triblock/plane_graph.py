@@ -1,12 +1,23 @@
 """Connected simple plane graphs represented by rotation systems.
 
 A plane graph is given by a counterclockwise cyclic order of neighbors at
-every vertex, and nothing else: a dart is the plain pair (tail, head).
-Faces are derived by dart tracing: the successor of the dart (u, v) is
-(v, w) where w immediately follows u in the rotation at v.  A
-rotation system is accepted only if the traced face count satisfies Euler's
-formula n - m + f = 2, i.e. it describes a genus-zero (planar) embedding of
-a connected graph.
+every vertex, and nothing else.  Everything else is derived in the
+half-edge (doubly-connected edge list) layout of Muller & Preparata
+(Theor. Comput. Sci. 1978), kept as flat integer arrays indexed by dart id.
+Darts are numbered 0..2m-1 in row order: the dart from v to the i-th entry
+of v's row is the row offset of v (the degree sum of the vertices before
+it) plus i.  For each dart d, ``tail[d]`` and ``head[d]`` are its ends,
+``twin[d]`` is the reverse dart, ``next[d]`` is the next dart of its face
+walk (the dart after ``twin[d]`` in the head's row: the successor of
+(u, v) is (v, w) where w immediately follows u in the rotation at v), and
+``face[d]`` is the index of that face.  A rotation system is accepted only
+if the traced face count satisfies Euler's formula n - m + f = 2, i.e. it
+describes a genus-zero (planar) embedding of a connected graph.
+
+Faces are traced from their first unvisited dart in dart-id order, which
+is row order, so face indices are those of tracing the plain
+(tail, head) pairs in row order: the numbering changes how a dart is
+stored, not which faces exist or the order they are found in.
 
 A face is its dart walk and nothing else.  Its *size* is the dart count:
 a bridge is walked once from each side and so counts twice.  This is the
@@ -20,6 +31,8 @@ K_{1,3} has a single face with six darts and three distinct edges).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
+from operator import eq
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -38,7 +51,6 @@ __all__ = [
 ]
 
 Edge = tuple[int, int]
-Dart = tuple[int, int]  # (tail, head); each edge yields two darts
 
 FORMAT_MAGIC = "planegraph 1"
 
@@ -148,47 +160,46 @@ class Graph:
         return self.n > 0 and len(self.components()) == 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Face:
-    """One face of the embedding.
-
-    ``walk`` is the cyclic dart sequence produced by tracing; everything
-    else about the face is read off it.
-    """
+    """One face of the embedding: its index and the dart ids of its walk,
+    in walk order from the face's first dart."""
 
     index: int
-    walk: tuple[Dart, ...]
-
-    @property
-    def edge_set(self) -> frozenset[Edge]:
-        """The distinct underlying edges of the walk."""
-        return frozenset(normalize_edge(a, b) for a, b in self.walk)
+    darts: tuple[int, ...]
 
     @property
     def dart_count(self) -> int:
-        return len(self.walk)
+        return len(self.darts)
 
     @property
     def is_triangle(self) -> bool:
         """True for a genuine 3-face: a closed walk of exactly three darts."""
-        return len(self.walk) == 3
-
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(tail for tail, _ in self.walk)
+        return len(self.darts) == 3
 
 
 class PlaneGraph:
     """A validated plane graph: connected, simple, genus zero.
 
     Construction validates everything; instances are immutable afterwards
-    and safe to share between worker processes.
+    and safe to share between worker processes.  ``tail``, ``head``,
+    ``twin``, ``next`` and ``face`` are the per-dart arrays described in
+    the module docstring.
     """
 
-    __slots__ = ("graph", "rotation", "faces", "_dart_face", "_position")
+    __slots__ = (
+        "graph", "rotation", "faces",
+        "tail", "head", "twin", "next", "face", "_offset",
+    )
 
     graph: Graph
     rotation: tuple[tuple[int, ...], ...]
     faces: tuple[Face, ...]
+    tail: tuple[int, ...]
+    head: tuple[int, ...]
+    twin: tuple[int, ...]
+    next: tuple[int, ...]
+    face: tuple[int, ...]
 
     def __init__(self, n: int, rotations: Sequence[Sequence[int]]):
         if n < 2:
@@ -200,56 +211,61 @@ class PlaneGraph:
             raise InconsistentRotation(
                 f"expected {n} rotation rows, got {len(rotations)}"
             )
-        rotation = tuple(tuple(int(w) for w in row) for row in rotations)
-        # The one dart index, (v, w) -> position of w in v's row.  Its keys
-        # run in row order, which fixes the face indices below.
-        position: dict[Dart, int] = {}
-        for v, row in enumerate(rotation):
-            for i, w in enumerate(row):
-                if w == v:
-                    raise InconsistentRotation(f"loop at vertex {v}")
-                if not 0 <= w < n:
-                    raise InconsistentRotation(
-                        f"vertex {v} lists out-of-range neighbor {w}"
-                    )
-                if (v, w) in position:
-                    raise InconsistentRotation(
-                        f"vertex {v} lists neighbor {w} twice"
-                    )
-                position[v, w] = i
-        for v, w in position:
-            if (w, v) not in position:
-                raise InconsistentRotation(
-                    f"vertex {v} lists {w} but {w} does not list {v}"
-                )
+        rotation = tuple(tuple(map(int, row)) for row in rotations)
+        offset = list(accumulate(map(len, rotation), initial=0))
+        tail = [v for v, row in enumerate(rotation) for _ in row]
+        head = list(chain.from_iterable(rotation))
+        if (
+            min(head, default=0) < 0
+            or max(head, default=0) >= n
+            or any(map(eq, tail, head))
+        ):
+            _refuse_rows(rotation, n)
+        # One int object per dart id, shared by every per-dart array.
+        ids = list(range(len(tail)))
+        # The (v, w) -> dart lookup, keyed v*n + w, lives only as long as
+        # it takes to find repeated neighbors and pair every dart with its
+        # reverse.
+        lookup = dict(zip([v * n + w for v, w in zip(tail, head)], ids))
+        if len(lookup) != len(tail):
+            _refuse_rows(rotation, n)
+        twin = [lookup.get(w * n + v, -1) for v, w in zip(tail, head)]
+        del lookup
+        if -1 in twin:
+            d = twin.index(-1)
+            v, w = tail[d], head[d]
+            raise InconsistentRotation(
+                f"vertex {v} lists {w} but {w} does not list {v}"
+            )
 
-        graph = Graph(n, frozenset(d for d in position if d[0] < d[1]))
+        graph = Graph(
+            n, frozenset((v, w) for v, w in zip(tail, head) if v < w)
+        )
+        object.__setattr__(graph, "_adjacency", tuple(map(frozenset, rotation)))
         if not graph.is_connected():
             raise DisconnectedGraph(f"graph on {n} vertices is not connected")
 
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "rotation", rotation)
-        object.__setattr__(self, "_position", position)
+        # next[d] is the dart after twin[d] in the head's row, cyclically.
+        after = ids[1:] + ids[:1]
+        for v in range(n):
+            after[offset[v + 1] - 1] = ids[offset[v]]
+        nxt = [after[t] for t in twin]
 
-        # Trace every face from its first dart in row order; the dart -> face
-        # map doubles as the visited set.
-        dart_face: dict[Dart, int] = {}
+        # Trace every face from its first unvisited dart in dart-id order;
+        # the dart -> face array doubles as the visited set.
+        face = [-1] * len(tail)
         faces: list[Face] = []
-        for start in position:
-            if start in dart_face:
+        for start in ids:
+            if face[start] >= 0:
                 continue
             index = len(faces)
-            walk: list[Dart] = []
-            dart = start
-            while True:
-                walk.append(dart)
-                dart_face[dart] = index
-                dart = self.successor(dart)
-                if dart == start:
-                    break
+            walk: list[int] = []
+            d = start
+            while face[d] < 0:
+                face[d] = index
+                walk.append(d)
+                d = nxt[d]
             faces.append(Face(index, tuple(walk)))
-        object.__setattr__(self, "faces", tuple(faces))
-        object.__setattr__(self, "_dart_face", dart_face)
 
         f = len(faces)
         if n - graph.m + f != 2:
@@ -257,15 +273,21 @@ class PlaneGraph:
                 f"Euler check failed: n - m + f = {n} - {graph.m} + {f} = "
                 f"{n - graph.m + f}, expected 2"
             )
+        for name, value in (
+            ("graph", graph),
+            ("rotation", rotation),
+            ("faces", tuple(faces)),
+            ("tail", tuple(tail)),
+            ("head", tuple(head)),
+            ("twin", tuple(twin)),
+            ("next", tuple(nxt)),
+            ("face", tuple(face)),
+            ("_offset", tuple(offset)),
+        ):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("PlaneGraph instances are immutable")
-
-    def successor(self, dart: Dart) -> Dart:
-        """The next dart of the face walk containing ``dart``."""
-        v, w = dart
-        row = self.rotation[w]
-        return (w, row[(self._position[w, v] + 1) % len(row)])
 
     @property
     def n(self) -> int:
@@ -279,8 +301,18 @@ class PlaneGraph:
     def face_count(self) -> int:
         return len(self.faces)
 
-    def face_of_dart(self, dart: Dart) -> int:
-        return self._dart_face[dart]
+    def dart(self, u: int, v: int) -> int:
+        """The dart from u to v; ValueError when they are not adjacent.
+
+        The row of the lower-degree end is searched, so asking for every
+        edge of a planar graph costs O(m) in all: the sum over edges of
+        min(deg u, deg v) is at most 2·arboricity·m (Chiba & Nishizeki,
+        SIAM J. Comput. 1985), and a planar graph has arboricity <= 3.
+        """
+        row_u, row_v = self.rotation[u], self.rotation[v]
+        if len(row_u) <= len(row_v):
+            return self._offset[u] + row_u.index(v)
+        return self.twin[self._offset[v] + row_v.index(u)]
 
     def faces_of_edge(self, edge: Edge) -> tuple[int, int]:
         """Face indices on the two sides of an edge.
@@ -288,10 +320,21 @@ class PlaneGraph:
         The two entries coincide exactly when the edge is a bridge (both
         darts lie on the same face walk).
         """
-        u, v = edge
-        a = self._dart_face[u, v]
-        b = self._dart_face[v, u]
+        d = self.dart(*edge)
+        a, b = self.face[d], self.face[self.twin[d]]
         return (a, b) if a <= b else (b, a)
+
+    def face_vertices(self, fid: int) -> tuple[int, ...]:
+        """The tails of a face's darts, in walk order."""
+        tail = self.tail
+        return tuple(tail[d] for d in self.faces[fid].darts)
+
+    def face_edges(self, fid: int) -> frozenset[Edge]:
+        """The distinct underlying edges of a face's walk."""
+        tail, head = self.tail, self.head
+        return frozenset(
+            normalize_edge(tail[d], head[d]) for d in self.faces[fid].darts
+        )
 
     def triangle_faces(self) -> tuple[int, ...]:
         """Indices of all 3-faces, in face order."""
@@ -301,6 +344,25 @@ class PlaneGraph:
         return (
             f"PlaneGraph(n={self.n}, m={self.m}, faces={self.face_count})"
         )
+
+
+def _refuse_rows(rotation: tuple[tuple[int, ...], ...], n: int) -> None:
+    """Raise for the first loop, out-of-range or repeated neighbor, in row
+    order; called once the whole-array checks have seen one."""
+    for v, row in enumerate(rotation):
+        seen: set[int] = set()
+        for w in row:
+            if w == v:
+                raise InconsistentRotation(f"loop at vertex {v}")
+            if not 0 <= w < n:
+                raise InconsistentRotation(
+                    f"vertex {v} lists out-of-range neighbor {w}"
+                )
+            if w in seen:
+                raise InconsistentRotation(
+                    f"vertex {v} lists neighbor {w} twice"
+                )
+            seen.add(w)
 
 
 def parse_planegraph(text: str) -> PlaneGraph:
@@ -349,7 +411,7 @@ def parse_planegraph(text: str) -> PlaneGraph:
             raise FormatError(f"line {lineno}: missing ':' separator")
         try:
             v = int(head.strip())
-            neighbors = [int(tok) for tok in tail.split()]
+            neighbors = list(map(int, tail.split()))
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
         if v in rows:

@@ -315,9 +315,14 @@ def test_oracle_rejects_a_witness_path_before_the_sweep(capsys, tmp_path):
     assert captured.err.startswith("error:")
 
 
-def test_oracle_cap_is_a_usage_error(capsys):
+def test_oracle_cap_is_a_usage_error(capsys, tmp_path):
     assert main(["oracle", "--n", "9", "--pattern", "theta6-1"]) == 1
     capsys.readouterr()
+    wdir = tmp_path / "wit"
+    argv = ["oracle", "--n", "9", "--pattern", "theta6-1", "--witnesses", str(wdir)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: n=9 exceeds the cap")
+    assert not wdir.exists()
 
 
 def test_oracle_table_output(capsys):

@@ -68,7 +68,8 @@ def test_gadget_pentagons_are_faces():
             ring = frozenset(
                 normalize_edge(pent[i], pent[(i + 1) % 5]) for i in range(5)
             )
-            assert any(face.edge_set == ring for face in g.plane_graph.faces)
+            pg = g.plane_graph
+            assert any(pg.face_edges(f) == ring for f in range(pg.face_count))
         assert not set(g.red_pentagon) & set(g.blue_pentagon)
 
 
@@ -125,7 +126,7 @@ def test_planting_needs_the_walk_of_a_face():
     # Reversed, a triangle's walk bounds no face (a pentagon lies across
     # each of its edges), so some corner lacks the wedge to splice into.
     pg = build_skeleton(0).plane_graph
-    x, y, z = pg.faces[pg.triangle_faces()[0]].vertices()
+    x, y, z = pg.face_vertices(pg.triangle_faces()[0])
     rows = [list(row) for row in pg.rotation]
     with pytest.raises(GluingMismatch):
         _plant(rows, (x, z, y))

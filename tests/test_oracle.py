@@ -245,11 +245,19 @@ def test_canonical_edges_is_a_relabeling_invariant_within_budget():
         assert canonical_edges(Graph.from_edges(g.n, canon)) == canon, name
 
 
-def test_canonical_edges_documents_its_budget_fallback():
+def test_canonical_edges_refuses_past_its_budget(monkeypatch):
     # A long cycle is vertex-transitive: one class of 12 vertices, 12!
-    # relabelings, over budget — the identity labeling comes back as is.
+    # relabelings, over budget.  No cheaper answer would be canonical.
     c12 = Graph.from_edges(12, [(i, (i + 1) % 12) for i in range(12)])
-    assert canonical_edges(c12) == tuple(sorted(c12.edges))
+    with pytest.raises(CapExceeded, match="12 vertices needs 479001600"):
+        canonical_edges(c12)
+    # The same refusal on a small graph, with the budget lowered: C5 has
+    # one class of five vertices, 5! = 120 relabelings.
+    c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    assert canonical_edges(c5) == ((0, 1), (0, 2), (1, 3), (2, 4), (3, 4))
+    monkeypatch.setattr(oracle, "_RELABELING_BUDGET", 119)
+    with pytest.raises(CapExceeded, match="120 relabelings, over the budget"):
+        canonical_edges(c5)
 
 
 def test_result_json_shape(oracle_results):

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import random
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from drawing import AmbiguousLayout, from_coordinates
+from triblock.catalog import CATALOG_LABELS, catalog_plane_graph
+from triblock.constructions import build_skeleton, substitute_b5a
 from triblock.plane_graph import (
     DisconnectedGraph,
     FormatError,
@@ -44,7 +49,7 @@ def test_star_face_walks_every_edge_twice():
     assert pg.face_count == 1
     face = pg.faces[0]
     assert face.dart_count == 6
-    assert len(face.edge_set) == 3
+    assert len(pg.face_edges(0)) == 3
     assert not face.is_triangle
 
 
@@ -54,7 +59,8 @@ def test_bridge_edge_has_equal_face_pair():
 
 
 def test_toroidal_k4_rotation_rejected():
-    with pytest.raises(NonPlanarEmbedding):
+    message = "Euler check failed: n - m + f = 4 - 6 + 2 = 0, expected 2"
+    with pytest.raises(NonPlanarEmbedding, match=re.escape(message)):
         PlaneGraph(4, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 
 
@@ -64,22 +70,36 @@ def test_single_vertex_rejected():
 
 
 def test_asymmetric_rotation_rejected():
-    with pytest.raises(InconsistentRotation):
+    message = "vertex 0 lists 2 but 2 does not list 0"
+    with pytest.raises(InconsistentRotation, match=message):
         PlaneGraph(3, [[1, 2], [0], [1]])
 
 
 def test_duplicate_neighbor_rejected():
-    with pytest.raises(InconsistentRotation):
+    with pytest.raises(InconsistentRotation, match="vertex 0 lists neighbor 1 twice"):
         PlaneGraph(2, [[1, 1], [0]])
+    # The first fault in row order is the one reported.
+    with pytest.raises(InconsistentRotation, match="vertex 0 lists neighbor 1 twice"):
+        PlaneGraph(3, [[1, 2, 1, 0], [0], [0]])
 
 
 def test_loop_rejected():
-    with pytest.raises(InconsistentRotation):
+    with pytest.raises(InconsistentRotation, match="loop at vertex 0"):
         PlaneGraph(2, [[1, 0], [0]])
 
 
+def test_out_of_range_neighbor_rejected():
+    for rows, message in (
+        ([[1, 5], [0]], "vertex 0 lists out-of-range neighbor 5"),
+        ([[1], [0, -1]], "vertex 1 lists out-of-range neighbor -1"),
+        ([[1, 2], [0, 7, 0], [0, 1]], "vertex 1 lists out-of-range neighbor 7"),
+    ):
+        with pytest.raises(InconsistentRotation, match=message):
+            PlaneGraph(len(rows), rows)
+
+
 def test_disconnected_rejected():
-    with pytest.raises(DisconnectedGraph):
+    with pytest.raises(DisconnectedGraph, match="graph on 4 vertices is not connected"):
         PlaneGraph(4, [[1], [0], [3], [2]])
 
 
@@ -91,9 +111,9 @@ def test_dart_counts_sum_to_twice_edges():
 def test_successor_walks_are_closed():
     pg = PlaneGraph(4, K4_ROTATIONS)
     for face in pg.faces:
-        for dart, nxt in zip(face.walk, face.walk[1:] + face.walk[:1]):
-            assert pg.successor(dart) == nxt
-            assert pg.face_of_dart(dart) == face.index
+        for dart, nxt in zip(face.darts, face.darts[1:] + face.darts[:1]):
+            assert pg.next[dart] == nxt
+            assert pg.face[dart] == face.index
 
 
 def test_immutability():
@@ -169,3 +189,101 @@ def test_graph_helpers():
     assert g.neighbors(1) == frozenset({0, 2})
     assert g.has_edge(2, 0) and not g.has_edge(1, 3)
     assert g.is_connected()
+
+
+def _trace_by_tuples(rotation):
+    """Faces traced independently of PlaneGraph: darts as (tail, head)
+    pairs, the successor found with row.index, starts taken in row order."""
+    seen = set()
+    faces = []
+    for v, row in enumerate(rotation):
+        for w in row:
+            if (v, w) in seen:
+                continue
+            walk = []
+            dart = (v, w)
+            while dart not in seen:
+                seen.add(dart)
+                walk.append(dart)
+                a, b = dart
+                nbrs = rotation[b]
+                dart = (b, nbrs[(nbrs.index(a) + 1) % len(nbrs)])
+            faces.append(walk)
+    return faces
+
+
+def _random_thinned_triangulation(n, p, rng):
+    """Rotation rows of a random stacked triangulation on n vertices with
+    each edge deleted with probability p unless that disconnects it."""
+    rows = [[1, 2], [2, 0], [0, 1]]
+    faces = [(0, 1, 2), (0, 2, 1)]
+    for v in range(3, n):
+        x, y, z = faces.pop(rng.randrange(len(faces)))
+        # v goes into the face x -> y -> z: right after the walk's
+        # predecessor in each corner's row.
+        for before, corner in ((z, x), (x, y), (y, z)):
+            row = rows[corner]
+            row.insert(row.index(before) + 1, v)
+        rows.append([y, x, z])
+        faces += [(x, y, v), (y, z, v), (z, x, v)]
+    edges = sorted({normalize_edge(v, w) for v, row in enumerate(rows) for w in row})
+    rng.shuffle(edges)
+    for u, v in edges:
+        if rng.random() >= p:
+            continue
+        saved = rows[u][:], rows[v][:]
+        rows[u].remove(v)
+        rows[v].remove(u)
+        reached, stack = {u}, [u]
+        while stack:
+            for w in rows[stack.pop()]:
+                if w not in reached:
+                    reached.add(w)
+                    stack.append(w)
+        if v not in reached:  # a bridge: put it back where it was
+            rows[u], rows[v] = saved
+    return rows
+
+
+def _dart_hosts():
+    hosts = [catalog_plane_graph(label) for label in CATALOG_LABELS]
+    for k in range(3):
+        skeleton = build_skeleton(k)
+        hosts += [skeleton.plane_graph, substitute_b5a(skeleton)]
+    rng = random.Random(2024)
+    for i in range(40):
+        p = (0.0, 0.3, 0.6)[i % 3]
+        rows = _random_thinned_triangulation(rng.randrange(4, 60), p, rng)
+        hosts.append(PlaneGraph(len(rows), rows))
+    return hosts
+
+
+def test_dart_arrays_are_a_half_edge_structure():
+    for pg in _dart_hosts():
+        darts = range(2 * pg.m)
+        # Darts are numbered in row order.
+        assert list(zip(pg.tail, pg.head)) == [
+            (v, w) for v, row in enumerate(pg.rotation) for w in row
+        ]
+        for d in darts:
+            t = pg.twin[d]
+            assert t != d and pg.twin[t] == d
+            assert pg.head[d] == pg.tail[t] and pg.tail[d] == pg.head[t]
+            assert pg.face[pg.next[d]] == pg.face[d]
+            assert pg.tail[pg.next[d]] == pg.head[d]
+        assert sorted(pg.next) == list(darts)
+        for u, v in pg.graph.edges:
+            d = pg.dart(u, v)
+            assert (pg.tail[d], pg.head[d]) == (u, v)
+            assert pg.dart(v, u) == pg.twin[d]
+            sides = sorted((pg.face[d], pg.face[pg.twin[d]]))
+            assert pg.faces_of_edge((u, v)) == tuple(sides)
+        # Faces, in order, are the independent trace's walks.
+        expected = _trace_by_tuples(pg.rotation)
+        assert len(pg.faces) == len(expected)
+        for index, (face, walk) in enumerate(zip(pg.faces, expected)):
+            assert face.index == index
+            assert [(pg.tail[d], pg.head[d]) for d in face.darts] == walk
+            assert all(pg.face[d] == index for d in face.darts)
+            assert pg.face_vertices(index) == tuple(a for a, _ in walk)
+            assert pg.face_edges(index) == {normalize_edge(*dart) for dart in walk}
