@@ -43,6 +43,10 @@ class NotB5c(ValueError):
     """canonical_b5c_frame was handed a block that is not a B5c."""
 
 
+#: The relabeled subgraph of every trivial block: one edge on two vertices.
+_K2 = Graph(2, frozenset({(0, 1)}))
+
+
 def _relabeled(
     vertices: frozenset[int], edges: frozenset[Edge]
 ) -> tuple[Graph, tuple[int, ...]]:
@@ -124,7 +128,9 @@ def classify(block_subgraph: Graph, interior_face_count: int) -> str:
             )
         return "B2"
     for label in catalog.labels_by_size(n, m):
-        if isomorphic(block_subgraph, catalog.catalog_graph(label)):
+        # The catalog graph recurs across calls, so it goes first: that is
+        # the side `isomorphic` plans, and its plan is cached.
+        if isomorphic(catalog.catalog_graph(label), block_subgraph):
             return label
     return "Other"
 
@@ -220,13 +226,16 @@ def decompose(pg: PlaneGraph) -> Decomposition:
             outer[block_id].append((f.index, count))
 
     # A label depends only on the relabeled subgraph and the interior
-    # count, and a host repeats few shapes: classify each one once.
+    # count, and a host repeats few shapes: classify each one once.  Every
+    # trivial block has the shape (K2, 0), so it is not relabeled.
     labels: dict[tuple[Graph, int], str] = {}
     blocks: list[TriangularBlock] = []
     for block_id, (edges, interior) in enumerate(raw):
         vertices = frozenset(chain.from_iterable(edges))
-        subgraph, _ = _relabeled(vertices, edges)
-        shape = (subgraph, len(interior))
+        if interior:
+            shape = (_relabeled(vertices, edges)[0], len(interior))
+        else:
+            shape = (_K2, 0)
         if shape not in labels:
             labels[shape] = classify(*shape)
         blocks.append(

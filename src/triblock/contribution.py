@@ -12,8 +12,13 @@ clusters, and per-cluster nonpositivity of the linear form
 
 implies m <= (alpha/beta)(n - 2): summing g over all clusters gives
 beta*m - alpha*(n-2) by Euler's formula, so nonpositive summands force the
-bound.  All arithmetic is exact rational (`fractions.Fraction`); floating
-point is deliberately absent from this module.
+bound.  All arithmetic is exact, on integers: a block's face share is kept
+as a numerator over the least common multiple of its outer faces' dart
+counts (`_face_share`), clusters add such pairs over the lcm of their
+denominators, a sign test reads the sign of a numerator, and a
+`fractions.Fraction` is built only for a value a caller sees (the
+`Cluster` fields and the public contribution functions).  Floating point
+is deliberately absent from this module.
 
 Clusters are usually singletons.  Two rules merge blocks (`form_clusters`):
 
@@ -51,6 +56,7 @@ are not recorded here, so whether this rule is one of them is open.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -162,6 +168,19 @@ def edge_contribution(block: TriangularBlock) -> Fraction:
     return Fraction(len(block.edges))
 
 
+def _face_share(pg: PlaneGraph, block: TriangularBlock) -> tuple[int, int]:
+    """f_B as an integer pair (num, den): den is the lcm of the dart counts
+    of the block's outer faces (1 when it has none)."""
+    faces = pg.faces
+    num, den = len(block.interior_faces), 1
+    for fid, steps in block.outer_faces:
+        d = faces[fid].dart_count
+        g = math.gcd(den, d)  # num/den + steps/d over lcm(den, d)
+        num = num * (d // g) + steps * (den // g)
+        den = den // g * d
+    return num, den
+
+
 def face_contribution(pg: PlaneGraph, block: TriangularBlock) -> Fraction:
     """f_B: the block's share of each boundary walk, summed over faces.
 
@@ -172,11 +191,9 @@ def face_contribution(pg: PlaneGraph, block: TriangularBlock) -> Fraction:
     by its single face and so carries two shares there — that convention
     is what makes the per-block f values match the face-degree arithmetic
     of the bound proofs on hosts with cut edges (a triangle with a pendant
-    edge hanging into it is a 5-face, not a 4-face)."""
-    return Fraction(len(block.interior_faces)) + sum(
-        Fraction(steps, pg.faces[fid].dart_count)
-        for fid, steps in block.outer_faces
-    )
+    edge hanging into it is a 5-face, not a 4-face).  The sum is taken on
+    integers over the lcm of those d (`_face_share`) and reduced once."""
+    return Fraction(*_face_share(pg, block))
 
 
 def g_eval(spec: BoundSpec, e: Fraction, f: Fraction) -> Fraction:
@@ -330,9 +347,9 @@ def form_clusters(
        an absorbed bridge is not offered again.  See the module docstring
        for why the rule is sound and what is only checked.
     """
-    e_by_block = [edge_contribution(b) for b in dec.blocks]
-    f_by_block = [face_contribution(pg, b) for b in dec.blocks]
-    g_by_block = [g_eval(spec, e, f) for e, f in zip(e_by_block, f_by_block)]
+    alpha, delta = spec.g_coefficients()
+    e_by_block = [len(b.edges) for b in dec.blocks]
+    share_by_block = [_face_share(pg, b) for b in dec.blocks]
 
     # absorbed block id -> absorbing block id; absorbing id -> (kind, members)
     owner: dict[int, int] = {}
@@ -361,7 +378,10 @@ def form_clusters(
     for block in dec.blocks:
         # A trivial block always scores g < 0, so only a larger block can
         # be positive.
-        if block.is_trivial or block.id in groups or g_by_block[block.id] <= 0:
+        if block.is_trivial or block.id in groups:
+            continue
+        num, den = share_by_block[block.id]
+        if alpha * num - delta * e_by_block[block.id] * den <= 0:
             continue
         bridges = sorted(
             b
@@ -387,13 +407,23 @@ def form_clusters(
         emitted.update(members)
         if len(members) == 1:
             (i,) = members
-            e_c, f_c, g_c = e_by_block[i], f_by_block[i], g_by_block[i]
+            e = e_by_block[i]
+            num, den = share_by_block[i]
         else:
-            e_c = sum((e_by_block[i] for i in members), Fraction(0))
-            f_c = sum((f_by_block[i] for i in members), Fraction(0))
-            g_c = g_eval(spec, e_c, f_c)
+            e = sum(e_by_block[i] for i in members)
+            den = math.lcm(*(share_by_block[i][1] for i in members))
+            num = sum(
+                share_by_block[i][0] * (den // share_by_block[i][1])
+                for i in members
+            )
         clusters.append(
-            Cluster(kind=kind, block_ids=members, e_c=e_c, f_c=f_c, g_c=g_c)
+            Cluster(
+                kind=kind,
+                block_ids=members,
+                e_c=Fraction(e),
+                f_c=Fraction(num, den),
+                g_c=Fraction(alpha * num - delta * e * den, den),
+            )
         )
     return clusters
 
@@ -469,11 +499,15 @@ def certify_decomposition(
                 item.message, item.category, item.filename, item.lineno
             )
 
-    e_total = sum((c.e_c for c in clusters), Fraction(0))
-    f_total = sum((c.f_c for c in clusters), Fraction(0))
-    identities_ok = e_total == Fraction(pg.m) and f_total == Fraction(
-        pg.face_count
-    )
+    # Every e_c is a whole number, and the f_c are summed as integer
+    # numerators per denominator, a host repeating few face sizes.
+    e_total = sum(c.e_c.numerator for c in clusters)
+    f_by_den: dict[int, int] = {}
+    for c in clusters:
+        den = c.f_c.denominator
+        f_by_den[den] = f_by_den.get(den, 0) + c.f_c.numerator
+    f_total = sum(Fraction(num, den) for den, num in f_by_den.items())
+    identities_ok = e_total == pg.m and f_total == pg.face_count
     if not identities_ok:
         raise DecompositionError(
             f"contribution identities failed: sum e = {e_total} vs m = "
@@ -481,7 +515,7 @@ def certify_decomposition(
         )
 
     violations = tuple(
-        i for i, c in enumerate(clusters) if c.g_c > 0
+        i for i, c in enumerate(clusters) if c.g_c.numerator > 0
     )
     all_nonpositive = not violations
     bound_holds = pg.m * spec.beta <= spec.alpha * (pg.n - 2)

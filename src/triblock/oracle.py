@@ -174,7 +174,7 @@ def _dedup_level(n: int, children: list[tuple[Edge, ...]]) -> list[Graph]:
     for edges in sorted(set(children)):
         g = Graph.from_edges(n, edges)
         bucket = buckets.setdefault(_invariant_key(g), [])
-        if not any(isomorphic(g, h) for h in bucket):
+        if not any(isomorphic(h, g) for h in bucket):
             bucket.append(g)
             reps.append(g)
     return reps

@@ -43,9 +43,8 @@ Each pattern is prepared once (`_prepare`): its plan, its radius (None
 when disconnected), its root orbit and its anchored plans.  `isomorphic`
 and the block classification through it build only a plan (`_plan`), so
 the graphs they compare get no orbits computed for nothing.  Each of the
-two caches holds at most 64 entries: `isomorphic` passes every graph it
-compares in as a pattern, so an unbounded cache would grow with every
-oracle sweep.
+two caches holds at most 64 entries: `isomorphic` plans its first graph as
+a pattern, so an unbounded cache would grow with every oracle sweep.
 """
 
 from __future__ import annotations
@@ -422,6 +421,12 @@ def isomorphic(g: Graph, h: Graph) -> bool:
     With n and m equal, an injective edge-preserving map is a bijection
     that uses up every host edge, i.e. an isomorphism — so the containment
     kernel doubles as the isomorphism decider after cheap invariant checks.
+
+    The answer is symmetric, the cost is not: ``g`` is the side planned,
+    through the cached `_plan`, and ``h`` the side searched.  A caller that
+    tests one graph against many passes the recurring one first (a catalog
+    graph in block classification, a kept representative in the oracle's
+    deduplication), so its plan is built once.
     """
     if g.n != h.n or g.m != h.m:
         return False

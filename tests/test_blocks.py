@@ -248,6 +248,34 @@ def test_outer_faces_match_a_recount_through_faces_of_edge():
     assert bridges > 0  # the thinned hosts exercise the two-step bridge case
 
 
+def test_classify_plans_the_catalog_graph(monkeypatch):
+    # `isomorphic` plans (and caches) its first argument, so classification
+    # passes the catalog graph, which recurs, and searches the block in it.
+    import triblock.blocks as blocks
+    from triblock.catalog import labels_by_size
+    from triblock.patterns import isomorphic
+
+    calls: list[tuple[Graph, Graph]] = []
+
+    def recording(g: Graph, h: Graph) -> bool:
+        calls.append((g, h))
+        return isomorphic(g, h)
+
+    monkeypatch.setattr(blocks, "isomorphic", recording)
+    for label in CATALOG_LABELS:
+        g = catalog_graph(label)
+        if g.m == 1:
+            continue
+        perm = list(range(g.n))[::-1]
+        subgraph = Graph.from_edges(g.n, ((perm[u], perm[v]) for u, v in g.edges))
+        calls.clear()
+        assert classify(subgraph, 1) == label
+        catalog = [catalog_graph(other) for other in labels_by_size(g.n, g.m)]
+        assert calls
+        for first, second in calls:
+            assert first is not subgraph and first in catalog and second is subgraph
+
+
 def test_decompose_classifies_each_block_shape_once(monkeypatch):
     import triblock.blocks as blocks
     from triblock.constructions import build_skeleton, substitute_b5a

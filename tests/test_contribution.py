@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from triblock.contribution import (
     THETA6_1_SPEC,
     THETA6_2_SPEC,
     BoundSpec,
+    DecompositionAnomaly,
     TooSmall,
     certify,
     edge_contribution,
@@ -29,7 +32,7 @@ from triblock.contribution import (
     get_spec,
 )
 from triblock.patterns import THETA6_1, cycle_graph
-from triblock.plane_graph import PlaneGraph
+from triblock.plane_graph import Graph, PlaneGraph
 
 
 def attach_polygons(
@@ -326,3 +329,93 @@ def test_certify_records_unchecked_freeness():
     cert = certify(pg, THETA6_2_SPEC)
     assert cert.freeness_checked is None
     assert cert.all_nonpositive and cert.bound_holds
+
+
+def random_plane_hosts(count: int, rng: random.Random) -> list[PlaneGraph]:
+    """Stacked triangulations on 6..40 vertices, each edge then deleted
+    with probability p unless that disconnects the graph (so bridges and
+    faces of many lengths occur)."""
+    out = []
+    for i in range(count):
+        n = rng.randint(6, 40)
+        edges = {(0, 1), (1, 2), (0, 2)}
+        faces = [(0, 1, 2), (0, 2, 1)]
+        for v in range(3, n):
+            a, b, c = faces.pop(rng.randrange(len(faces)))
+            faces += [(a, b, v), (b, c, v), (c, a, v)]
+            edges |= {(a, v), (b, v), (c, v)}
+        p = (0.0, 0.2, 0.4, 0.55)[i % 4]
+        for edge in sorted(edges):
+            rest = edges - {edge}
+            if rng.random() < p and Graph.from_edges(n, rest).is_connected():
+                edges = rest
+        out.append(embed(Graph.from_edges(n, edges)))
+    return out
+
+
+def bbar_between_unequal_faces() -> PlaneGraph:
+    """The BBar gadget's B5c and apexes w=5, v=6, with w and v joined by a
+    path round each side: a 5-face on the left, a 6-face on the right.  So
+    the absorbed cross edges carry shares over 4 and 5 or over 4 and 6, and
+    the cluster's common denominator (60) is no single block's."""
+    coords = {
+        0: (-2.0, 0.0), 1: (0.0, 1.0), 2: (2.0, 0.0), 3: (0.0, -1.0),
+        4: (0.0, 0.4), 5: (0.0, 2.5), 6: (0.0, -2.5),
+        7: (-3.0, 1.5), 8: (-3.0, -1.5),
+        9: (3.0, 2.0), 10: (4.0, 0.0), 11: (3.0, -2.0),
+    }
+    edges = [
+        (0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4), (2, 4), (0, 2),
+        (0, 5), (2, 5), (0, 6), (2, 6),
+        (5, 7), (7, 8), (8, 6), (5, 9), (9, 10), (10, 11), (11, 6),
+    ]
+    return from_coordinates(coords, edges)
+
+
+def test_integer_ledger_matches_the_fraction_formula(
+    bbar_gadget: PlaneGraph, constructed_instances
+):
+    """Recompute every cluster's e, f and g, and both identity sums, from
+    one ``Fraction(steps, dart_count)`` per outer face, independently of
+    the integer ledger in the module."""
+    from triblock.catalog import CATALOG_LABELS
+
+    hosts = [catalog_plane_graph(label) for label in CATALOG_LABELS]
+    hosts += [pg for name, pg in constructed_instances if name.startswith("extremal")]
+    hosts += [bbar_gadget, bbar_between_unequal_faces(), embed(k5_minus_edge_with_pendant())]
+    hosts += random_plane_hosts(50, random.Random(20261019))
+    kinds = set()
+    for pg in hosts:
+        dec = decompose(pg)
+        f_of = [
+            len(b.interior_faces)
+            + sum(Fraction(steps, pg.faces[fid].dart_count) for fid, steps in b.outer_faces)
+            for b in dec.blocks
+        ]
+        for spec in (THETA6_1_SPEC, THETA6_2_SPEC):
+            with warnings.catch_warnings():  # a lone B5c is reported, not raised
+                warnings.simplefilter("ignore", DecompositionAnomaly)
+                clusters = form_clusters(pg, dec, spec)
+            e_sum = f_sum = Fraction(0)
+            positive = []
+            for i, c in enumerate(clusters):
+                e = Fraction(sum(len(dec.blocks[b].edges) for b in c.block_ids))
+                f = sum((f_of[b] for b in c.block_ids), Fraction(0))
+                g = spec.alpha * f - (spec.alpha - spec.beta) * e
+                assert (c.e_c, c.f_c, c.g_c) == (e, f, g)
+                assert all(type(x) is Fraction for x in (c.e_c, c.f_c, c.g_c))
+                e_sum += e
+                f_sum += f
+                if g > 0:
+                    positive.append(i)
+                kinds.add(c.kind)
+            assert (e_sum, f_sum) == (pg.m, pg.face_count)
+            if pg.n >= 6:
+                cert = certify(pg, spec)
+                assert cert.identities_ok
+                assert cert.violations == tuple(positive)
+                assert cert.clusters == tuple(clusters)
+        for b in dec.blocks:
+            assert face_contribution(pg, b) == f_of[b.id]
+            assert type(face_contribution(pg, b)) is Fraction
+    assert kinds == {"singleton", "bbar", "bridged"}

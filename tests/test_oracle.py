@@ -99,6 +99,32 @@ def test_planarity_is_tested_once_per_isomorphism_class(monkeypatch):
         assert len(tested) == expected, name
 
 
+def test_dedup_plans_the_kept_representative(monkeypatch):
+    # `isomorphic` plans (and caches) its first argument, so a level's
+    # deduplication passes the representative it keeps, not each newcomer.
+    from itertools import permutations
+
+    from triblock.patterns import isomorphic
+
+    calls: list[tuple[Graph, Graph]] = []
+
+    def recording(g: Graph, h: Graph) -> bool:
+        calls.append((g, h))
+        return isomorphic(g, h)
+
+    monkeypatch.setattr(oracle, "isomorphic", recording)
+    path, star = [(0, 1), (1, 2), (2, 3)], [(0, 1), (0, 2), (0, 3)]
+    children = [
+        tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in edges))
+        for edges in (path, star)
+        for p in permutations(range(4))
+    ]
+    reps = oracle._dedup_level(4, children)
+    assert len(reps) == 2 and len(calls) == 12 + 4 - 2
+    assert all(any(g is r for r in reps) for g, _ in calls)
+    assert not any(any(h is r for r in reps) for _, h in calls)
+
+
 def test_one_pool_serves_the_whole_sweep(monkeypatch):
     # A serial stand-in for multiprocessing.Pool that records each pool
     # opened and, for each level mapped, how many pools were open by then.
