@@ -11,17 +11,37 @@ assumed.  The faces a block meets without containing are its *outer
 faces*; one pass over the face walks, reading the block of each dart,
 records them with the number of walk steps that run along block edges,
 and that ledger is all the face data :mod:`triblock.contribution` needs.
+
+The decomposition runs on the dart arrays of
+:class:`~triblock.plane_graph.PlaneGraph` from start to end.  The flood
+fill labels faces with group ids, crossing each dart to the face of its
+twin; each dart then gets the group on either side of its edge, and an
+edge with a group on neither side becomes the next trivial block.  The
+smaller dart of an edge runs from its smaller end, so it gives the sorted
+edge tuple without normalizing, and blocks are ordered by the integer
+u*n + v of their smallest edge (u, v).
+
+Classification takes two steps.  A block whose (vertex count, edge count)
+is no catalog size is "Other" at once, with no relabeled graph built: a
+triangulated host is one block of n vertices, for example.  A block of a
+catalog size is reduced to an exact, relabeled description of its shape
+(`_shape`), and the label of each shape is remembered in a bounded memo
+(`_shape_label`), so a host, or a run of hosts, that repeats B3, B4b or
+B5a shapes runs the isomorphism tests of :func:`classify` once per shape
+while the memo holds it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from functools import lru_cache
+from itertools import chain, compress, count
+from operator import and_, lt, or_, xor
 
 from . import catalog
 from .patterns import isomorphic
-from .plane_graph import Edge, Graph, PlaneGraph, normalize_edge
+from .plane_graph import Edge, Graph, PlaneGraph
 
 __all__ = [
     "B5cFrame",
@@ -43,8 +63,12 @@ class NotB5c(ValueError):
     """canonical_b5c_frame was handed a block that is not a B5c."""
 
 
-#: The relabeled subgraph of every trivial block: one edge on two vertices.
-_K2 = Graph(2, frozenset({(0, 1)}))
+#: The shape (see `_shape`) of every trivial block: one edge on two vertices.
+_K2_SHAPE = frozenset({0b11})
+
+#: (vertex count, edge count) of every catalog graph; a block of any other
+#: size is "Other".
+_CATALOG_SIZES = frozenset(catalog.CATALOG_COUNTS.values())
 
 
 def _relabeled(
@@ -60,7 +84,21 @@ def _relabeled(
     return relabeled, originals
 
 
-@dataclass(frozen=True)
+def _shape(vertices: frozenset[int], edges: frozenset[Edge]) -> frozenset[int]:
+    """The block's edges renumbered, each as the bitmask 1 << a | 1 << b of
+    its renumbered ends: an exact description of the block up to
+    isomorphism.  Vertices are numbered by falling block degree, then by
+    id, so most copies of one shape in a host renumber alike."""
+    ends = list(chain.from_iterable(edges))
+    ranked = sorted(sorted(vertices), key=ends.count, reverse=True)
+    bit = dict(zip(ranked, map((1).__lshift__, range(len(ranked)))))
+    firsts, seconds = zip(*edges)
+    return frozenset(
+        map(or_, map(bit.__getitem__, firsts), map(bit.__getitem__, seconds))
+    )
+
+
+@dataclass(frozen=True, init=False)
 class TriangularBlock:
     """One block of the decomposition.
 
@@ -79,6 +117,27 @@ class TriangularBlock:
     interior_faces: tuple[int, ...]
     outer_faces: tuple[tuple[int, int], ...]
     label: str
+
+    def __init__(
+        self,
+        id: int,
+        edges: frozenset[Edge],
+        vertices: frozenset[int],
+        interior_faces: tuple[int, ...],
+        outer_faces: tuple[tuple[int, int], ...],
+        label: str,
+    ) -> None:
+        # Written into the instance dict at once, which the frozen
+        # dataclass's per-field setattr calls would cost twice over; every
+        # decomposition builds one block per block.
+        self.__dict__.update(
+            id=id,
+            edges=edges,
+            vertices=vertices,
+            interior_faces=interior_faces,
+            outer_faces=outer_faces,
+            label=label,
+        )
 
     @property
     def is_trivial(self) -> bool:
@@ -135,118 +194,136 @@ def classify(block_subgraph: Graph, interior_face_count: int) -> str:
     return "Other"
 
 
+@lru_cache(maxsize=64)
+def _shape_label(
+    order: int, shape: frozenset[int], interior_face_count: int
+) -> str:
+    """:func:`classify` of a block given as its vertex count and
+    :func:`_shape`, remembered: hosts repeat a few catalog shapes, and a
+    label depends on nothing else.  Bounded like the plan cache of
+    :mod:`triblock.patterns`."""
+    edges = frozenset(
+        ((code & -code).bit_length() - 1, code.bit_length() - 1)
+        for code in shape
+    )
+    return classify(Graph(order, edges), interior_face_count)
+
+
 def decompose(pg: PlaneGraph) -> Decomposition:
     """Triangular-block decomposition of a plane graph.
 
-    Deterministic: blocks are ordered by their smallest edge, and ids
-    follow that order.
+    Deterministic: blocks are ordered by their smallest edge (u, v), as the
+    integer u*n + v, and ids follow that order.
     """
     faces, tail, head, twin, face = pg.faces, pg.tail, pg.head, pg.twin, pg.face
-    triangles = pg.triangle_faces()
 
-    # Flood fill over 3-faces: each dart of a walk crosses to the face on
-    # the other side of its edge, the face of its twin.
-    unabsorbed = set(triangles)
+    # Flood fill over 3-faces, labelling each face with its group: -2 marks
+    # a 3-face not reached yet, -1 a face no group contains.  Each dart of a
+    # walk crosses to the face on the other side of its edge, its twin's.
+    group_of = [-1] * len(faces)
+    triangles = pg.triangle_faces()
+    for fid in triangles:
+        group_of[fid] = -2
     groups: list[list[int]] = []
     for fid in triangles:
-        if fid not in unabsorbed:
+        if group_of[fid] != -2:
             continue
-        unabsorbed.remove(fid)
+        g = len(groups)
+        group_of[fid] = g
         group = [fid]
         for current in group:  # the group grows while it is scanned
             for d in faces[current].darts:
                 other = face[twin[d]]
-                if other in unabsorbed:
-                    unabsorbed.remove(other)
+                if group_of[other] == -2:
+                    group_of[other] = g
                     group.append(other)
         groups.append(group)
 
-    raw: list[tuple[frozenset[Edge], tuple[int, ...]]] = []
-    covered: set[Edge] = set()
-    for group in groups:
-        edges = frozenset(
-            normalize_edge(tail[d], head[d])
-            for fid in group
-            for d in faces[fid].darts
-        )
-        raw.append((edges, tuple(sorted(group))))
-        covered |= edges
-    raw.extend((frozenset((edge,)), ()) for edge in pg.graph.edges - covered)
+    # The groups on the two sides of each dart's edge.  The flood fill
+    # crosses every edge of a group, so they agree unless one side is -1,
+    # and then -1 & g == g is the group of the edge (-1: a trivial block).
+    own = list(map(group_of.__getitem__, face))
+    across = list(map(own.__getitem__, twin))
+    block_of = list(map(and_, own, across))
 
-    raw.sort(key=lambda item: min(item[0]))
-
-    edge_to_block: dict[Edge, int] = {}
-    interior_of: dict[int, int] = {}
-    for block_id, (edges, interior) in enumerate(raw):
-        for edge in edges:
-            if edge in edge_to_block:
-                raise DecompositionError(
-                    f"edge {edge} claimed by blocks "
-                    f"{edge_to_block[edge]} and {block_id}"
-                )
-            edge_to_block[edge] = block_id
-        interior_of.update((fid, block_id) for fid in interior)
-    if len(edge_to_block) != pg.m:
-        raise DecompositionError(
-            f"blocks cover {len(edge_to_block)} of {pg.m} edges"
-        )
-
-    # The block of every dart: an interior face's darts and their twins
-    # run along its block's edges, and a trivial block is one edge.
-    dart_block = [-1] * len(tail)
-    for block_id, (edges, interior) in enumerate(raw):
-        if interior:
-            for fid in interior:
-                for d in faces[fid].darts:
-                    dart_block[d] = dart_block[twin[d]] = block_id
+    # Collect each block's edges from the smaller dart of each edge, which
+    # runs from the smaller end (darts are numbered in row order); an edge
+    # of no group is the next trivial block, numbered after the groups.
+    smaller = list(compress(count(), map(lt, count(), twin)))
+    group_edges: list[list[Edge]] = [[] for _ in groups]
+    trivial: list[Edge] = []
+    ends = zip(map(tail.__getitem__, smaller), map(head.__getitem__, smaller))
+    for d, edge in zip(smaller, ends):
+        b = block_of[d]
+        if b < 0:
+            block_of[d] = block_of[twin[d]] = len(groups) + len(trivial)
+            trivial.append(edge)
         else:
-            (edge,) = edges
-            d = pg.dart(*edge)
-            dart_block[d] = dart_block[twin[d]] = block_id
+            group_edges[b].append(edge)
+    n = pg.n
+    keys = [u * n + v for u, v in chain(map(min, group_edges), trivial)]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    # a ^ b > 0 exactly when a and b are two different groups.
+    if max(map(xor, own, across), default=0) > 0:
+        d = next(d for d, x in enumerate(map(xor, own, across)) if x > 0)
+        a, b = sorted((order.index(own[d]), order.index(across[d])))
+        edge = tuple(sorted((tail[d], head[d])))
+        raise DecompositionError(f"edge {edge} claimed by blocks {a} and {b}")
 
     # One pass over the walks of the faces no block contains (every dart
     # of an interior face lies on its own block): each dart lands on the
     # block of its edge, and the face is outer to each block it steps on.
     # Such a face cannot be a triangle: the flood fill would have absorbed
     # it (or made a trivial block non-trivial).
-    outer: list[list[tuple[int, int]]] = [[] for _ in raw]
-    for f in faces:
-        if f.index in interior_of:
-            continue
+    outer: list[list[tuple[int, int]]] = [[] for _ in keys]
+    for fid in compress(count(), map((-1).__eq__, group_of)):
+        darts = faces[fid].darts
         steps: dict[int, int] = {}
-        for d in f.darts:
-            block_id = dart_block[d]
-            steps[block_id] = steps.get(block_id, 0) + 1
-        for block_id, count in steps.items():
-            if f.is_triangle:
-                raise DecompositionError(
-                    f"3-face {f.index} is adjacent to block {block_id} "
-                    "without being interior to it"
-                )
-            outer[block_id].append((f.index, count))
+        for b in map(block_of.__getitem__, darts):
+            steps[b] = steps.get(b, 0) + 1
+        if len(darts) == 3:
+            block_id = order.index(block_of[darts[0]])
+            raise DecompositionError(
+                f"3-face {fid} is adjacent to block {block_id} "
+                "without being interior to it"
+            )
+        for b, steps_on_b in steps.items():
+            outer[b].append((fid, steps_on_b))
 
     # A label depends only on the relabeled subgraph and the interior
-    # count, and a host repeats few shapes: classify each one once.  Every
-    # trivial block has the shape (K2, 0), so it is not relabeled.
-    labels: dict[tuple[Graph, int], str] = {}
+    # count.  A block of no catalog size is "Other" without relabeling, and
+    # a catalog-sized shape goes through the bounded memo; every trivial
+    # block has the one shape (K2, 0).
+    b2 = _shape_label(2, _K2_SHAPE, 0) if trivial else ""
+    edge_to_block: dict[Edge, int] = {}
     blocks: list[TriangularBlock] = []
-    for block_id, (edges, interior) in enumerate(raw):
-        vertices = frozenset(chain.from_iterable(edges))
-        if interior:
-            shape = (_relabeled(vertices, edges)[0], len(interior))
+    for block_id, b in enumerate(order):
+        if b >= len(groups):
+            edge = trivial[b - len(groups)]
+            edges = frozenset((edge,))
+            edge_to_block[edge] = block_id
+            vertices = frozenset(edge)
+            interior: tuple[int, ...] = ()
+            label = b2
         else:
-            shape = (_K2, 0)
-        if shape not in labels:
-            labels[shape] = classify(*shape)
+            edges = frozenset(group_edges[b])
+            edge_to_block.update(dict.fromkeys(edges, block_id))
+            vertices = frozenset(chain.from_iterable(edges))
+            interior = tuple(sorted(groups[b]))
+            if (len(vertices), len(edges)) in _CATALOG_SIZES:
+                label = _shape_label(
+                    len(vertices), _shape(vertices, edges), len(interior)
+                )
+            else:
+                label = "Other"
         blocks.append(
             TriangularBlock(
-                id=block_id,
-                edges=edges,
-                vertices=vertices,
-                interior_faces=interior,
-                outer_faces=tuple(outer[block_id]),
-                label=labels[shape],
+                block_id, edges, vertices, interior, tuple(outer[b]), label
             )
+        )
+    if len(edge_to_block) != pg.m:
+        raise DecompositionError(
+            f"blocks cover {len(edge_to_block)} of {pg.m} edges"
         )
     return Decomposition(blocks=tuple(blocks), edge_to_block=edge_to_block)
 

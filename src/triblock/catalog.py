@@ -61,26 +61,32 @@ CATALOG_COUNTS: dict[str, tuple[int, int]] = {
     for label, rows in _ROTATIONS.items()
 }
 
+#: label -> the abstract catalog graph, built once and shared (a `Graph` is
+#: immutable): classification probes these for every block it labels.
+_GRAPHS: dict[str, Graph] = {
+    label: Graph.from_edges(
+        len(rows), ((v, w) for v, row in enumerate(rows) for w in row if v < w)
+    )
+    for label, rows in _ROTATIONS.items()
+}
 
-def _rows(label: str) -> tuple[tuple[int, ...], ...]:
+
+def _entry(table: dict, label: str):
     try:
-        return _ROTATIONS[label]
+        return table[label]
     except KeyError:
         raise KeyError(f"unknown catalog label {label!r}") from None
 
 
 def catalog_graph(label: str) -> Graph:
-    """The abstract catalog graph for a label."""
-    rows = _rows(label)
-    return Graph.from_edges(
-        len(rows), ((v, w) for v, row in enumerate(rows) for w in row if v < w)
-    )
+    """The abstract catalog graph for a label (the same object each call)."""
+    return _entry(_GRAPHS, label)
 
 
 def catalog_plane_graph(label: str) -> PlaneGraph:
     """The standard plane embedding of a catalog graph (as in the usual
     figures: every bounded face of a non-trivial entry is a triangle)."""
-    rows = _rows(label)
+    rows = _entry(_ROTATIONS, label)
     return PlaneGraph(len(rows), rows)
 
 

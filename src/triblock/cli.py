@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from .blocks import Decomposition, DecompositionError, decompose
 from .catalog import CATALOG_LABELS, catalog_graph, catalog_plane_graph
@@ -82,30 +83,33 @@ def _int_from(low: int):
     return parse
 
 
-def resolve_patterns(name: str) -> list[tuple[str, Graph]]:
-    """Map a CLI pattern name to labeled pattern graphs.
+def _theta_names(name: str) -> tuple[int, Iterable[tuple[str, int]]]:
+    """The cycle length k shared by the theta patterns a CLI pattern name
+    denotes, and a (label, chord distance) pair for each of them.
 
-    Accepts ``theta6-1``, ``theta6-2``, ``theta:<k>:<d>``, and
-    ``theta-family:<k>`` (the last expands to every chord distance).
+    The name is checked here, as `theta_pattern` checks its arguments, but
+    no pattern is built: one with more vertices than a host is absent from
+    it, and building it could exhaust memory (``theta:99999999:2``).  The
+    pairs of ``theta-family:<k>`` are produced as they are read.
     """
     try:
-        if name == "theta6-1":
-            return [(name, theta_pattern(6, 3))]
-        if name == "theta6-2":
-            return [(name, theta_pattern(6, 2))]
+        if name in ("theta6-1", "theta6-2"):
+            return 6, [(name, 3 if name == "theta6-1" else 2)]
         if name.startswith("theta-family:"):
             k = int(name.split(":", 1)[1])
-            return [
-                (f"theta:{k}:{d + 2}", g)
-                for d, g in enumerate(theta_family(k))
-            ]
+            if k < 4:
+                theta_family(k)  # raises, naming the bound
+            return k, ((f"theta:{k}:{d}", d) for d in range(2, k // 2 + 1))
         if name.startswith("theta:"):
             parts = name.split(":")
             if len(parts) != 3:
                 raise PatternNameError(
                     f"expected theta:<k>:<d>, got {name!r}"
                 )
-            return [(name, theta_pattern(int(parts[1]), int(parts[2])))]
+            k, d = int(parts[1]), int(parts[2])
+            if k < 4 or not 2 <= d <= k // 2:
+                theta_pattern(k, d)  # raises, naming the bound
+            return k, [(name, d)]
     except PatternNameError:
         raise
     except ValueError as exc:
@@ -114,6 +118,16 @@ def resolve_patterns(name: str) -> list[tuple[str, Graph]]:
         f"unrecognized pattern name {name!r}; expected theta6-1, theta6-2, "
         "theta:<k>:<d>, or theta-family:<k>"
     )
+
+
+def resolve_patterns(name: str) -> list[tuple[str, Graph]]:
+    """Map a CLI pattern name to labeled pattern graphs.
+
+    Accepts ``theta6-1``, ``theta6-2``, ``theta:<k>:<d>``, and
+    ``theta-family:<k>`` (the last expands to every chord distance).
+    """
+    k, named = _theta_names(name)
+    return [(label, theta_pattern(k, d)) for label, d in named]
 
 
 def _read_text(path: str) -> str:
@@ -217,10 +231,12 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_free(args: argparse.Namespace) -> int:
-    labeled = resolve_patterns(args.pattern)
+    k, named = _theta_names(args.pattern)
     pg = _load_plane_graph(args.input)
-    for label, pattern in labeled:
-        witness = contains_subgraph(pg, pattern)
+    if k > pg.n:  # patterns on more vertices than the host are absent
+        named = ()
+    for label, d in named:
+        witness = contains_subgraph(pg, theta_pattern(k, d))
         if witness is not None:
             if args.json:
                 _print_json(
@@ -280,7 +296,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    labeled = resolve_patterns(args.pattern)
+    k, named = _theta_names(args.pattern)
     if args.witnesses and args.n < 2:
         print("error: --witnesses needs --n >= 2", file=sys.stderr)
         return 1
@@ -288,9 +304,15 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         check_cap(args.n, args.force)  # and a refused sweep leaves no DIR
         outdir = Path(args.witnesses)
         outdir.mkdir(parents=True, exist_ok=True)
+    # On fewer than k vertices every pattern of order k is absent, so the
+    # edgeless graph of order k, which costs nothing to build, stands in.
+    if k <= args.n:
+        patterns = tuple(theta_pattern(k, d) for _, d in named)
+    else:
+        patterns = (Graph(k, frozenset()),)
     result = max_edges(
         args.n,
-        tuple(g for _, g in labeled),
+        patterns,
         pattern_name=args.pattern,
         jobs=args.jobs,
         force=args.force,

@@ -15,10 +15,12 @@ beta*m - alpha*(n-2) by Euler's formula, so nonpositive summands force the
 bound.  All arithmetic is exact, on integers: a block's face share is kept
 as a numerator over the least common multiple of its outer faces' dart
 counts (`_face_share`), clusters add such pairs over the lcm of their
-denominators, a sign test reads the sign of a numerator, and a
-`fractions.Fraction` is built only for a value a caller sees (the
-`Cluster` fields and the public contribution functions).  Floating point
-is deliberately absent from this module.
+denominators, the identities and the sign tests of `certify` read the
+integer pairs, and a `fractions.Fraction` is built only when a caller
+reads a value: ``Cluster.e_c``, ``f_c`` and ``g_c`` are kept as integer
+pairs and built as `Fraction`s on each read (so for a certificate's JSON
+or text, not while certifying), and the public contribution functions
+return one each.  Floating point is deliberately absent from this module.
 
 Clusters are usually singletons.  Two rules merge blocks (`form_clusters`):
 
@@ -58,7 +60,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
 from .blocks import (
@@ -174,7 +176,7 @@ def _face_share(pg: PlaneGraph, block: TriangularBlock) -> tuple[int, int]:
     faces = pg.faces
     num, den = len(block.interior_faces), 1
     for fid, steps in block.outer_faces:
-        d = faces[fid].dart_count
+        d = len(faces[fid].darts)
         g = math.gcd(den, d)  # num/den + steps/d over lcm(den, d)
         num = num * (d // g) + steps * (den // g)
         den = den // g * d
@@ -201,15 +203,68 @@ def g_eval(spec: BoundSpec, e: Fraction, f: Fraction) -> Fraction:
     return (spec.beta - spec.alpha) * e + spec.alpha * f
 
 
-@dataclass(frozen=True)
+class _Ratio:
+    """A rational field of `Cluster`: stored as an integer pair (numerator,
+    denominator), not necessarily in lowest terms, with a positive
+    denominator, and read as a `Fraction`, built on each read."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, cluster: "Cluster | None", owner: type) -> Fraction:
+        if cluster is None:
+            raise AttributeError(self.name)  # so the field has no default
+        return Fraction(*cluster.__dict__[self.name])
+
+    def __set__(self, cluster: "Cluster", value: object) -> None:
+        # Defined so that this descriptor, not the stored pair of the same
+        # name in the instance dict, answers every read.
+        raise FrozenInstanceError(f"cannot assign to field {self.name!r}")
+
+
+def _pair(value: Fraction | tuple[int, int]) -> tuple[int, int]:
+    if type(value) is tuple:
+        return value
+    return value.numerator, value.denominator
+
+
+@dataclass(frozen=True, init=False)
 class Cluster:
-    """A group of blocks accounted jointly; e/f/g are exact sums."""
+    """A group of blocks accounted jointly; e/f/g are exact sums.
+
+    ``e_c``, ``f_c`` and ``g_c`` read as `Fraction`s but are kept as
+    integer pairs (see `_Ratio`), and each may be given as a `Fraction` or
+    as a pair: `form_clusters` passes its integer ledger, so a cluster
+    holds no `Fraction` until one is read.
+    """
 
     kind: str  # "singleton" | "bbar" | "bridged"
     block_ids: tuple[int, ...]
-    e_c: Fraction
-    f_c: Fraction
-    g_c: Fraction
+    e_c: Fraction = _Ratio()
+    f_c: Fraction = _Ratio()
+    g_c: Fraction = _Ratio()
+
+    def __init__(
+        self,
+        kind: str,
+        block_ids: tuple[int, ...],
+        e_c: Fraction | tuple[int, int],
+        f_c: Fraction | tuple[int, int],
+        g_c: Fraction | tuple[int, int],
+    ) -> None:
+        # Written into the instance dict at once, which the frozen
+        # dataclass's per-field setattr calls would cost several times over.
+        self.__dict__.update(
+            kind=kind,
+            block_ids=block_ids,
+            e_c=_pair(e_c),
+            f_c=_pair(f_c),
+            g_c=_pair(g_c),
+        )
+
+    def _ratio(self, name: str) -> tuple[int, int]:
+        """The integer pair behind ``e_c``, ``f_c`` or ``g_c``."""
+        return self.__dict__[name]
 
     def to_json_dict(self) -> dict:
         return {
@@ -395,36 +450,27 @@ def form_clusters(
             owner[b] = block.id
         groups[block.id] = ("bridged", (block.id, *bridges))
 
+    # A merged cluster is emitted at its smallest member, in block order.
+    merged = {
+        min(members): (kind, tuple(sorted(members)))
+        for kind, members in groups.values()
+    }
     clusters: list[Cluster] = []
-    emitted: set[int] = set()
-    for block in dec.blocks:
-        if block.id in emitted:
-            continue
-        kind, members = groups.get(
-            owner.get(block.id, block.id), ("singleton", (block.id,))
-        )
-        members = tuple(sorted(members))
-        emitted.update(members)
-        if len(members) == 1:
-            (i,) = members
-            e = e_by_block[i]
-            num, den = share_by_block[i]
-        else:
-            e = sum(e_by_block[i] for i in members)
-            den = math.lcm(*(share_by_block[i][1] for i in members))
+    for i, (e, (num, den)) in enumerate(zip(e_by_block, share_by_block)):
+        if i in merged:
+            kind, members = merged[i]
+            e = sum(e_by_block[j] for j in members)
+            den = math.lcm(*(share_by_block[j][1] for j in members))
             num = sum(
-                share_by_block[i][0] * (den // share_by_block[i][1])
-                for i in members
+                share_by_block[j][0] * (den // share_by_block[j][1])
+                for j in members
             )
-        clusters.append(
-            Cluster(
-                kind=kind,
-                block_ids=members,
-                e_c=Fraction(e),
-                f_c=Fraction(num, den),
-                g_c=Fraction(alpha * num - delta * e * den, den),
-            )
-        )
+        elif i in owner or i in groups:
+            continue
+        else:
+            kind, members = "singleton", (i,)
+        g = alpha * num - delta * e * den
+        clusters.append(Cluster(kind, members, (e, 1), (num, den), (g, den)))
     return clusters
 
 
@@ -499,23 +545,27 @@ def certify_decomposition(
                 item.message, item.category, item.filename, item.lineno
             )
 
-    # Every e_c is a whole number, and the f_c are summed as integer
-    # numerators per denominator, a host repeating few face sizes.
-    e_total = sum(c.e_c.numerator for c in clusters)
+    # On the integer pairs: every e is whole, and the f numerators are
+    # summed per denominator (a host repeats few face sizes), then over the
+    # lcm of the denominators.
+    e_total = 0
     f_by_den: dict[int, int] = {}
     for c in clusters:
-        den = c.f_c.denominator
-        f_by_den[den] = f_by_den.get(den, 0) + c.f_c.numerator
-    f_total = sum(Fraction(num, den) for den, num in f_by_den.items())
-    identities_ok = e_total == pg.m and f_total == pg.face_count
+        e_total += c._ratio("e_c")[0]
+        num, den = c._ratio("f_c")
+        f_by_den[den] = f_by_den.get(den, 0) + num
+    f_den = math.lcm(*f_by_den)
+    f_num = sum(num * (f_den // den) for den, num in f_by_den.items())
+    identities_ok = e_total == pg.m and f_num == pg.face_count * f_den
     if not identities_ok:
         raise DecompositionError(
             f"contribution identities failed: sum e = {e_total} vs m = "
-            f"{pg.m}; sum f = {f_total} vs faces = {pg.face_count}"
+            f"{pg.m}; sum f = {Fraction(f_num, f_den)} vs faces = "
+            f"{pg.face_count}"
         )
 
     violations = tuple(
-        i for i, c in enumerate(clusters) if c.g_c.numerator > 0
+        i for i, c in enumerate(clusters) if c._ratio("g_c")[0] > 0
     )
     all_nonpositive = not violations
     bound_holds = pg.m * spec.beta <= spec.alpha * (pg.n - 2)

@@ -338,7 +338,7 @@ class PlaneGraph:
 
     def triangle_faces(self) -> tuple[int, ...]:
         """Indices of all 3-faces, in face order."""
-        return tuple(f.index for f in self.faces if f.is_triangle)
+        return tuple(f.index for f in self.faces if len(f.darts) == 3)
 
     def __repr__(self) -> str:
         return (

@@ -4,6 +4,7 @@ two BBar gadgets used by the cluster-arithmetic tests."""
 from __future__ import annotations
 
 import os
+import random
 
 import pytest
 
@@ -12,7 +13,7 @@ from triblock.catalog import CATALOG_LABELS, catalog_plane_graph
 from triblock.constructions import build_skeleton, gadget_a, gadget_b, substitute_b5a
 from triblock.oracle import OracleResult, arbitrary_embedding, max_edges
 from triblock.patterns import THETA6_1, THETA6_2, theta_pattern
-from triblock.plane_graph import Graph, PlaneGraph
+from triblock.plane_graph import Graph, PlaneGraph, normalize_edge
 
 PATTERNS: dict[str, Graph] = {"theta6-1": THETA6_1, "theta6-2": THETA6_2}
 
@@ -127,6 +128,41 @@ def k5_minus_edge_with_pendant() -> Graph:
         (u, v) for u in range(5) for v in range(u + 1, 5) if (u, v) != (3, 4)
     ]
     return Graph.from_edges(6, k5_minus_edge + [(0, 5)])
+
+
+def random_thinned_triangulation(
+    n: int, p: float, rng: random.Random
+) -> list[list[int]]:
+    """Rotation rows of a random stacked triangulation on n vertices with
+    each edge deleted with probability p unless that disconnects it."""
+    rows = [[1, 2], [2, 0], [0, 1]]
+    faces = [(0, 1, 2), (0, 2, 1)]
+    for v in range(3, n):
+        x, y, z = faces.pop(rng.randrange(len(faces)))
+        # v goes into the face x -> y -> z: right after the walk's
+        # predecessor in each corner's row.
+        for before, corner in ((z, x), (x, y), (y, z)):
+            row = rows[corner]
+            row.insert(row.index(before) + 1, v)
+        rows.append([y, x, z])
+        faces += [(x, y, v), (y, z, v), (z, x, v)]
+    edges = sorted({normalize_edge(v, w) for v, row in enumerate(rows) for w in row})
+    rng.shuffle(edges)
+    for u, v in edges:
+        if rng.random() >= p:
+            continue
+        saved = rows[u][:], rows[v][:]
+        rows[u].remove(v)
+        rows[v].remove(u)
+        reached, stack = {u}, [u]
+        while stack:
+            for w in rows[stack.pop()]:
+                if w not in reached:
+                    reached.add(w)
+                    stack.append(w)
+        if v not in reached:  # a bridge: put it back where it was
+            rows[u], rows[v] = saved
+    return rows
 
 
 def systematic_graphs() -> list[tuple[str, Graph]]:

@@ -5,7 +5,13 @@ from collections import Counter
 
 import pytest
 
+from conftest import (
+    embed,
+    k5_minus_edge_with_pendant,
+    random_thinned_triangulation,
+)
 from drawing import from_coordinates
+from reference_blocks import reference_decompose
 from triblock.blocks import (
     DecompositionError,
     NotB5c,
@@ -87,6 +93,11 @@ def test_unknown_catalog_label_is_named():
         catalog_graph("B7")
     with pytest.raises(KeyError, match="unknown catalog label"):
         catalog_plane_graph("B7")
+
+
+def test_catalog_graph_is_one_object_per_label():
+    for label in CATALOG_LABELS:
+        assert catalog_graph(label) is catalog_graph(label)
 
 
 def test_classification_is_relabeling_invariant():
@@ -203,6 +214,33 @@ def test_a_triangle_skipped_by_the_flood_fill_is_refused(monkeypatch):
         decompose(pg)
 
 
+def test_decompose_refuses_inconsistent_dart_arrays():
+    """The partition checks fire on a host whose arrays disagree: a face
+    walk that skips the dart of its shared edge leaves two 3-faces in two
+    groups across one edge, and a host claiming one edge more than its
+    darts carry is not covered."""
+    from types import SimpleNamespace
+
+    from triblock.plane_graph import Face
+
+    pg = catalog_plane_graph("B4b")
+    fields = ("n", "m", "faces", "tail", "head", "twin", "face")
+    a, b = pg.triangle_faces()
+    (shared,) = (d for d in pg.faces[a].darts if pg.face[pg.twin[d]] == b)
+    walk = tuple(d for d in pg.faces[a].darts if d != shared)
+    faces = tuple(Face(a, walk) if f.index == a else f for f in pg.faces)
+    skipping = SimpleNamespace(**{k: getattr(pg, k) for k in fields})
+    skipping.faces, skipping.triangle_faces = faces, lambda: (a, b)
+    claimed = r"edge \(\d+, \d+\) claimed by blocks 0 and 1"
+    with pytest.raises(DecompositionError, match=claimed):
+        decompose(skipping)
+    larger = SimpleNamespace(**{k: getattr(pg, k) for k in fields})
+    larger.m, larger.triangle_faces = pg.m + 1, pg.triangle_faces
+    uncovered = f"blocks cover {pg.m} of {pg.m + 1} edges"
+    with pytest.raises(DecompositionError, match=uncovered):
+        decompose(larger)
+
+
 def recounted_outer_faces(
     pg: PlaneGraph, block
 ) -> tuple[tuple[int, int], ...]:
@@ -277,13 +315,22 @@ def test_classify_plans_the_catalog_graph(monkeypatch):
 
 
 def test_decompose_classifies_each_block_shape_once(monkeypatch):
+    """Only blocks of a catalog size reach `classify`, each shape once while
+    it stays in the bounded memo, and every label is the one an unmemoized
+    `classify` gives."""
     import triblock.blocks as blocks
+    from triblock.catalog import CATALOG_COUNTS
     from triblock.constructions import build_skeleton, substitute_b5a
 
     family = substitute_b5a(build_skeleton(1))
     rng = random.Random(7)
     hosts = [family, thinned(family, 0.3, rng), thinned(catalog_plane_graph("B6"), 0.3, rng)]
     hosts += [catalog_plane_graph(label) for label in CATALOG_LABELS]
+    octahedron = embed(Graph.from_edges(6, [
+        (0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+        (0, 4), (0, 5), (1, 5), (1, 3), (2, 3), (2, 4),
+    ]))
+    hosts.append(octahedron)
     calls: list[tuple[Graph, int]] = []
 
     def counting(subgraph: Graph, interior_face_count: int) -> str:
@@ -291,17 +338,48 @@ def test_decompose_classifies_each_block_shape_once(monkeypatch):
         return classify(subgraph, interior_face_count)
 
     monkeypatch.setattr(blocks, "classify", counting)
-    labels = set()
-    for pg in hosts:
+    blocks._shape_label.cache_clear()
+    try:
+        labels = set()
+        for pg in hosts:
+            for b in decompose(pg).blocks:
+                unmemoized = classify(b.induced_subgraph()[0], len(b.interior_faces))
+                assert b.label == unmemoized
+                labels.add(b.label)
+        assert {"B2", "B3", "B5a", "B6", "Other"} <= labels
+        catalog_sizes = set(CATALOG_COUNTS.values())
+        assert calls and all((g.n, g.m) in catalog_sizes for g, _ in calls)
+        remembered = blocks._shape_label.cache_info().currsize
+        assert len(set(calls)) == len(calls) == remembered
         calls.clear()
-        dec = decompose(pg)
-        shapes = {(b.induced_subgraph()[0], len(b.interior_faces)) for b in dec.blocks}
-        assert len(calls) == len(set(calls)) == len(shapes)
-        # Each block gets the label an unmemoized classify gives it.
-        for b in dec.blocks:
-            assert b.label == classify(b.induced_subgraph()[0], len(b.interior_faces))
-            labels.add(b.label)
-    assert {"B2", "B3", "B5a"} <= labels
-    calls.clear()
-    assert len(decompose(family).blocks) > 1
-    assert len(calls) == 1  # every block of the family is the same B5a
+        dec = decompose(octahedron)  # one block of no catalog size
+        assert [b.label for b in dec.blocks] == ["Other"] and calls == []
+        assert len(decompose(family).blocks) > 1
+        assert calls == []  # every block of the family is the remembered B5a
+    finally:
+        blocks._shape_label.cache_clear()
+
+
+def test_decompose_matches_the_edge_tuple_reference(bbar_gadget: PlaneGraph):
+    from triblock.constructions import build_skeleton, substitute_b5a
+
+    hosts = [catalog_plane_graph(label) for label in CATALOG_LABELS]
+    hosts += [substitute_b5a(build_skeleton(k)) for k in (0, 1, 2)]
+    hosts += [bbar_gadget, embed(k5_minus_edge_with_pendant())]
+    rng = random.Random(20261019)
+    for i in range(50):
+        p = (0.0, 0.2, 0.4, 0.55)[i % 4]
+        rows = random_thinned_triangulation(rng.randrange(6, 50), p, rng)
+        hosts.append(PlaneGraph(len(rows), rows))
+    bridges = 0
+    for pg in hosts:
+        dec, ref = decompose(pg), reference_decompose(pg)
+        assert len(dec.blocks) == len(ref.blocks)
+        for b, r in zip(dec.blocks, ref.blocks):
+            assert (b.id, b.edges, b.vertices) == (r.id, r.edges, r.vertices)
+            assert b.interior_faces == r.interior_faces
+            assert b.outer_faces == r.outer_faces
+            assert b.label == r.label
+            bridges += b.is_trivial and len(b.outer_faces) == 1
+        assert dec.edge_to_block == ref.edge_to_block
+    assert bridges > 0

@@ -236,6 +236,30 @@ def test_check_free_family_reports_first_hit(capsys, tmp_path):
     assert len(data["witness"]) == 6
 
 
+def test_no_pattern_larger_than_the_host_is_built(capsys, tmp_path, monkeypatch):
+    import triblock.cli as cli
+
+    sizes: list[int] = []
+    build = cli.theta_pattern
+
+    def recording(k: int, d: int):
+        sizes.append(k)
+        assert k <= 6, f"built a pattern on {k} vertices"  # before it eats memory
+        return build(k, d)
+
+    monkeypatch.setattr(cli, "theta_pattern", recording)
+    k3 = write_pg(tmp_path, "k3.pg", catalog_plane_graph("B3"))
+    for name in ("theta:99999999:2", "theta-family:99999999", "theta6-1"):
+        assert main(["check-free", k3, "--pattern", name]) == 0
+        assert capsys.readouterr().out == f"free of {name}\n"
+    assert sizes == []
+    b6 = write_pg(tmp_path, "b6.pg", catalog_plane_graph("B6"))
+    assert main(["check-free", b6, "--pattern", "theta-family:6"]) == 2
+    assert main(["oracle", "--n", "5", "--pattern", "theta:99999999:2"]) == 0
+    assert "max edges: 9" in capsys.readouterr().out
+    assert sizes == [6]
+
+
 def test_construct_writes_the_family_member(capsys, tmp_path):
     out = tmp_path / "extremal0.pg"
     assert main(["construct", "--k", "0", "--out", str(out)]) == 0

@@ -6,6 +6,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import random_thinned_triangulation
 from drawing import AmbiguousLayout, from_coordinates
 from triblock.catalog import CATALOG_LABELS, catalog_plane_graph
 from triblock.constructions import build_skeleton, substitute_b5a
@@ -212,39 +213,6 @@ def _trace_by_tuples(rotation):
     return faces
 
 
-def _random_thinned_triangulation(n, p, rng):
-    """Rotation rows of a random stacked triangulation on n vertices with
-    each edge deleted with probability p unless that disconnects it."""
-    rows = [[1, 2], [2, 0], [0, 1]]
-    faces = [(0, 1, 2), (0, 2, 1)]
-    for v in range(3, n):
-        x, y, z = faces.pop(rng.randrange(len(faces)))
-        # v goes into the face x -> y -> z: right after the walk's
-        # predecessor in each corner's row.
-        for before, corner in ((z, x), (x, y), (y, z)):
-            row = rows[corner]
-            row.insert(row.index(before) + 1, v)
-        rows.append([y, x, z])
-        faces += [(x, y, v), (y, z, v), (z, x, v)]
-    edges = sorted({normalize_edge(v, w) for v, row in enumerate(rows) for w in row})
-    rng.shuffle(edges)
-    for u, v in edges:
-        if rng.random() >= p:
-            continue
-        saved = rows[u][:], rows[v][:]
-        rows[u].remove(v)
-        rows[v].remove(u)
-        reached, stack = {u}, [u]
-        while stack:
-            for w in rows[stack.pop()]:
-                if w not in reached:
-                    reached.add(w)
-                    stack.append(w)
-        if v not in reached:  # a bridge: put it back where it was
-            rows[u], rows[v] = saved
-    return rows
-
-
 def _dart_hosts():
     hosts = [catalog_plane_graph(label) for label in CATALOG_LABELS]
     for k in range(3):
@@ -253,7 +221,7 @@ def _dart_hosts():
     rng = random.Random(2024)
     for i in range(40):
         p = (0.0, 0.3, 0.6)[i % 3]
-        rows = _random_thinned_triangulation(rng.randrange(4, 60), p, rng)
+        rows = random_thinned_triangulation(rng.randrange(4, 60), p, rng)
         hosts.append(PlaneGraph(len(rows), rows))
     return hosts
 
