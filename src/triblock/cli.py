@@ -5,10 +5,10 @@ catalog.  Input graphs are read in the native planegraph format (from a
 file argument, or stdin when the argument is "-" or omitted), so commands
 compose in pipelines.  Exit codes: 0 success / bound holds, 1 usage
 error, 2 certification found a positive cluster or a pattern copy was
-found, 3 structural or format errors.  A reader that closes the pipe early
-(``triblock decompose g.pg | head -1``) ends the command quietly with exit
-0.  Output is deterministic; the only timing field is the explicitly
-labeled ``elapsed_seconds`` of the oracle.
+found, 3 structural or format errors, or out of memory.  A reader that
+closes the pipe early (``triblock decompose g.pg | head -1``) ends the
+command quietly with exit 0.  Output is deterministic; the only timing
+field is the explicitly labeled ``elapsed_seconds`` of the oracle.
 """
 
 from __future__ import annotations
@@ -516,6 +516,9 @@ def main(argv: list[str] | None = None) -> int:
         UnicodeDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:  # e.g. construct --k 100000000000
+        print("error: out of memory", file=sys.stderr)
         return 3
 
 

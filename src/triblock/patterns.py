@@ -29,6 +29,19 @@ host-wide n-bit masks made a no-match search grow as n squared.
 Disconnected patterns, and `isomorphic`, whose two graphs have equal
 order, search the whole host.
 
+Each call also remembers the balls it searched in vain, keyed by the
+root's position in the ball and the ball's rows, and does not search an
+equal ball again.  This is exact: the kernel is a deterministic function
+of the plan, the rows, the pinned position and the positions kept above
+it, all in ball-local coordinates, so an equal key gives an equal answer
+and the first witness is unchanged.  A hit ends the call, so only empty
+balls are kept, and only for that call: there is no cache across calls.
+It pays on hosts built from repeated pieces: the extremal family's
+radius-2 balls take 156 shapes at every k >= 1, so a theta6-1 search of
+the k = 40 member (n = 6870) runs the kernel 156 times, not 6870.  On a
+randomly relabeled host the same balls no longer have equal rows, so
+every key misses and the memo only costs its keys.
+
 The ball search also breaks the pattern's symmetry at the root, the
 standard device of subgraph enumeration (Grochow & Kellis, "Network motif
 discovery using subgraph enumeration and symmetry-breaking", RECOMB 2007):
@@ -348,6 +361,7 @@ def contains_subgraph(
         return None if mapping is None else EmbeddingWitness(mapping)
     root_degree = len(pattern_adj[plan.order[0]])
     slot = [0] * hg.n  # the bit of each vertex in the current ball, else 0
+    empty: set[tuple[int, ...]] = set()  # (root position, *rows) searched in vain
     for root in range(hg.n):
         if len(host_adj[root]) < root_degree:
             continue
@@ -358,8 +372,14 @@ def contains_subgraph(
         masks = [sum(map(slot.__getitem__, host_adj[v])) for v in ball]
         for v in ball:
             slot[v] = 0
-        mapping = _find_embedding(plan, masks, (ball.index(root),), orbit)
-        if mapping is not None:
+        at = ball.index(root)
+        key = (at, *masks)
+        if key in empty:
+            continue
+        mapping = _find_embedding(plan, masks, (at,), orbit)
+        if mapping is None:
+            empty.add(key)
+        else:
             return EmbeddingWitness(tuple(ball[i] for i in mapping))
     return None
 

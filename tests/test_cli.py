@@ -282,6 +282,27 @@ def test_construct_verify_json(capsys):
     assert data["ok"] is True and data["failures"] == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--k", "100000000000"],
+        ["construct", "--k", "100000000000", "--skeleton-only"],
+        ["construct", "--k", "100000000000", "--verify", "--json"],
+    ],
+)
+def test_construct_out_of_memory_is_exit_3_with_one_line(capsys, monkeypatch, argv):
+    # A k whose chain cannot be allocated; the stub fails before anything is.
+    def out_of_memory(k):
+        raise MemoryError
+
+    monkeypatch.setattr("triblock.constructions.build_skeleton", out_of_memory)
+    monkeypatch.setattr("triblock.cli.build_skeleton", out_of_memory)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
+
+
 def test_construct_verify_writes_the_member_it_checked(
     capsys, monkeypatch, tmp_path
 ):

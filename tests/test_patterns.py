@@ -178,7 +178,11 @@ TWO_EDGES = Graph.from_edges(4, [(0, 1), (2, 3)])
 
 def test_ball_search_finds_the_host_wide_witness():
     # The root-ball search must return exactly what one host-wide kernel
-    # call returns, including no witness at all.
+    # call returns, including no witness at all.  Within one call a ball
+    # that came back empty is not searched again; the memo key holds the
+    # root's position in the ball as well as the rows.  In the 6-vertex
+    # host below every ball is the whole host, so roots 0 and 1 have equal
+    # rows at different positions, and only the search from 1 finds the C4.
     rng = random.Random(77)
     hosts = [substitute_b5a(build_skeleton(k)).graph for k in (0, 1, 2)]
     hosts.append(build_skeleton(1).plane_graph.graph)
@@ -186,6 +190,24 @@ def test_ball_search_finds_the_host_wide_witness():
     for _ in range(40):
         n = rng.randint(6, 40)
         p = rng.choice((0.1, 0.2, 0.35))
+        hosts.append(Graph.from_edges(
+            n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+        ))
+    hosts.append(Graph.from_edges(6, [(0, 2), (0, 3), (1, 2), (1, 4), (2, 3), (3, 4)]))
+    for member in hosts[:3]:
+        image = rng.sample(range(member.n), member.n)
+        hosts.append(Graph.from_edges(
+            member.n, [(image[a], image[b]) for a, b in member.edges]
+        ))
+        # One extra edge, a chord to a vertex at distance 2: it makes a
+        # theta6-1 whose first copy lies past many balls the memo skips.
+        adj = member.adjacency()
+        v = rng.randrange(member.n // 2, member.n)
+        w = rng.choice(sorted({x for u in adj[v] for x in adj[u]} - adj[v] - {v}))
+        hosts.append(Graph.from_edges(member.n, [*member.edges, (v, w)]))
+    for _ in range(300):
+        n = rng.randint(5, 12)
+        p = rng.choice((0.3, 0.45, 0.6))
         hosts.append(Graph.from_edges(
             n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
         ))
@@ -203,6 +225,28 @@ def test_ball_search_finds_the_host_wide_witness():
             assert mapping == expected, (host.n, sorted(host.edges), sorted(pattern.edges))
             verdicts.add(mapping is None)
     assert verdicts == {True, False}
+
+
+def test_family_balls_are_searched_once_whatever_the_member(monkeypatch):
+    # The family repeats one gadget, so its balls take a fixed set of
+    # shapes: the kernel runs as often at k = 3 as at k = 1.
+    hosts = {k: substitute_b5a(build_skeleton(k)) for k in (1, 3)}
+    patterns._prepare(THETA6_1.adjacency())  # self-searches are not host searches
+    kernel = patterns._find_embedding
+    runs = 0
+
+    def counting(*args):
+        nonlocal runs
+        runs += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(patterns, "_find_embedding", counting)
+    counts = {}
+    for k, host in hosts.items():
+        runs = 0
+        assert is_free(host, THETA6_1)
+        counts[k] = runs
+    assert counts[1] == counts[3] < hosts[3].n // 3, (counts, hosts[3].n)
 
 
 def test_connected_patterns_never_search_the_whole_host(monkeypatch):
