@@ -21,26 +21,28 @@ smaller dart of an edge runs from its smaller end, so it gives the sorted
 edge tuple without normalizing, and blocks are ordered by the integer
 u*n + v of their smallest edge (u, v).
 
-Classification takes two steps.  A block whose (vertex count, edge count)
-is no catalog size is "Other" at once, with no relabeled graph built: a
-triangulated host is one block of n vertices, for example.  A block of a
-catalog size is reduced to an exact, relabeled description of its shape
-(`_shape`), and the label of each shape is remembered in a bounded memo
-(`_shape_label`), so a host, or a run of hosts, that repeats B3, B4b or
-B5a shapes runs the isomorphism tests of :func:`classify` once per shape
-while the memo holds it.
+A non-trivial block is labeled by one dictionary lookup: the key
+(vertex count, edge count, block degrees in falling order) of each of the
+nine catalog graphs maps to its label (`_LABELS`), and a block whose key
+is not there is "Other".  The key is exact at the catalog sizes, not just
+a filter: among all graphs with the (n, m) of a catalog entry, those with
+its degree sequence are exactly its isomorphs, and the nine keys are
+distinct.  The two five-vertex/eight-edge entries, for example, are K5
+less two edges; the two missing edges are disjoint in B5b, degrees
+4,3,3,3,3, and share a vertex in B5c, degrees 4,4,3,3,2.
+``tests/test_blocks.py`` checks the claim on every labeled graph of each
+catalog size against an isomorphism search.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, compress, count
-from operator import and_, lt, or_, xor
+from operator import and_, lt, xor
+from typing import Iterable
 
 from . import catalog
-from .patterns import isomorphic
 from .plane_graph import Edge, Graph, PlaneGraph
 
 __all__ = [
@@ -63,39 +65,20 @@ class NotB5c(ValueError):
     """canonical_b5c_frame was handed a block that is not a B5c."""
 
 
-#: The shape (see `_shape`) of every trivial block: one edge on two vertices.
-_K2_SHAPE = frozenset({0b11})
-
-#: (vertex count, edge count) of every catalog graph; a block of any other
-#: size is "Other".
-_CATALOG_SIZES = frozenset(catalog.CATALOG_COUNTS.values())
-
-
-def _relabeled(
-    vertices: frozenset[int], edges: frozenset[Edge]
-) -> tuple[Graph, tuple[int, ...]]:
-    """See :meth:`TriangularBlock.induced_subgraph`."""
-    originals = tuple(sorted(vertices))
-    index = {v: i for i, v in enumerate(originals)}
-    # index is increasing, so each relabeled pair stays sorted.
-    relabeled = Graph(
-        len(originals), frozenset((index[u], index[v]) for u, v in edges)
+#: (vertex count, edge count, degree sequence) -> label, for each catalog
+#: graph; exact at the catalog sizes (see the module docstring).
+_LABELS: dict[tuple[int, int, tuple[int, ...]], str] = {
+    (g.n, g.m, g.degree_sequence()): label
+    for label, g in zip(
+        catalog.CATALOG_LABELS,
+        map(catalog.catalog_graph, catalog.CATALOG_LABELS),
     )
-    return relabeled, originals
+}
 
 
-def _shape(vertices: frozenset[int], edges: frozenset[Edge]) -> frozenset[int]:
-    """The block's edges renumbered, each as the bitmask 1 << a | 1 << b of
-    its renumbered ends: an exact description of the block up to
-    isomorphism.  Vertices are numbered by falling block degree, then by
-    id, so most copies of one shape in a host renumber alike."""
-    ends = list(chain.from_iterable(edges))
-    ranked = sorted(sorted(vertices), key=ends.count, reverse=True)
-    bit = dict(zip(ranked, map((1).__lshift__, range(len(ranked)))))
-    firsts, seconds = zip(*edges)
-    return frozenset(
-        map(or_, map(bit.__getitem__, firsts), map(bit.__getitem__, seconds))
-    )
+def _block_degrees(edges: Iterable[Edge]) -> Counter[int]:
+    """Vertex degrees counting the given edges only."""
+    return Counter(chain.from_iterable(edges))
 
 
 @dataclass(frozen=True, init=False)
@@ -146,15 +129,18 @@ class TriangularBlock:
     def induced_subgraph(self) -> tuple[Graph, tuple[int, ...]]:
         """The block's edge-induced subgraph relabeled to 0..k-1, plus the
         sorted original vertex ids (index i holds the original of i)."""
-        return _relabeled(self.vertices, self.edges)
+        originals = tuple(sorted(self.vertices))
+        index = {v: i for i, v in enumerate(originals)}
+        # index is increasing, so each relabeled pair stays sorted.
+        relabeled = Graph(
+            len(originals),
+            frozenset((index[u], index[v]) for u, v in self.edges),
+        )
+        return relabeled, originals
 
     def degree_in_block(self) -> dict[int, int]:
         """Vertex degrees counting block edges only."""
-        degs: Counter[int] = Counter()
-        for u, v in self.edges:
-            degs[u] += 1
-            degs[v] += 1
-        return dict(degs)
+        return dict(_block_degrees(self.edges))
 
 
 @dataclass(frozen=True)
@@ -174,10 +160,12 @@ class Decomposition:
 def classify(block_subgraph: Graph, interior_face_count: int) -> str:
     """Catalog label of a block's subgraph, or "Other".
 
-    Classification is by isomorphism type of the subgraph alone; the
-    interior-face count is accepted because the same subgraph can occur
-    with different interior sets in a host, but only the trivial case
-    (single edge, zero interior faces) consults it as a sanity check.
+    The label is the `_LABELS` entry of the key (n, m, degree sequence),
+    which decides isomorphism to a catalog graph exactly (see the module
+    docstring; ``tests/test_blocks.py`` checks every graph of each catalog
+    size).  The interior-face count is accepted because the same subgraph
+    can occur with different interior sets in a host, but only the trivial
+    case (single edge, zero interior faces) consults it as a sanity check.
     """
     n, m = block_subgraph.n, block_subgraph.m
     if (n, m) == (2, 1):
@@ -186,27 +174,7 @@ def classify(block_subgraph: Graph, interior_face_count: int) -> str:
                 "single-edge block reported interior faces"
             )
         return "B2"
-    for label in catalog.labels_by_size(n, m):
-        # The catalog graph recurs across calls, so it goes first: that is
-        # the side `isomorphic` plans, and its plan is cached.
-        if isomorphic(catalog.catalog_graph(label), block_subgraph):
-            return label
-    return "Other"
-
-
-@lru_cache(maxsize=64)
-def _shape_label(
-    order: int, shape: frozenset[int], interior_face_count: int
-) -> str:
-    """:func:`classify` of a block given as its vertex count and
-    :func:`_shape`, remembered: hosts repeat a few catalog shapes, and a
-    label depends on nothing else.  Bounded like the plan cache of
-    :mod:`triblock.patterns`."""
-    edges = frozenset(
-        ((code & -code).bit_length() - 1, code.bit_length() - 1)
-        for code in shape
-    )
-    return classify(Graph(order, edges), interior_face_count)
+    return _LABELS.get((n, m, block_subgraph.degree_sequence()), "Other")
 
 
 def decompose(pg: PlaneGraph) -> Decomposition:
@@ -290,11 +258,6 @@ def decompose(pg: PlaneGraph) -> Decomposition:
         for b, steps_on_b in steps.items():
             outer[b].append((fid, steps_on_b))
 
-    # A label depends only on the relabeled subgraph and the interior
-    # count.  A block of no catalog size is "Other" without relabeling, and
-    # a catalog-sized shape goes through the bounded memo; every trivial
-    # block has the one shape (K2, 0).
-    b2 = _shape_label(2, _K2_SHAPE, 0) if trivial else ""
     edge_to_block: dict[Edge, int] = {}
     blocks: list[TriangularBlock] = []
     for block_id, b in enumerate(order):
@@ -304,18 +267,15 @@ def decompose(pg: PlaneGraph) -> Decomposition:
             edge_to_block[edge] = block_id
             vertices = frozenset(edge)
             interior: tuple[int, ...] = ()
-            label = b2
+            label = "B2"
         else:
             edges = frozenset(group_edges[b])
             edge_to_block.update(dict.fromkeys(edges, block_id))
-            vertices = frozenset(chain.from_iterable(edges))
+            degrees = _block_degrees(edges)
+            vertices = frozenset(degrees)
             interior = tuple(sorted(groups[b]))
-            if (len(vertices), len(edges)) in _CATALOG_SIZES:
-                label = _shape_label(
-                    len(vertices), _shape(vertices, edges), len(interior)
-                )
-            else:
-                label = "Other"
+            ranked = tuple(sorted(degrees.values(), reverse=True))
+            label = _LABELS.get((len(vertices), len(edges), ranked), "Other")
         blocks.append(
             TriangularBlock(
                 block_id, edges, vertices, interior, tuple(outer[b]), label

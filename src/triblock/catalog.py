@@ -2,10 +2,10 @@
 
 Each entry is stored once, as the rotation rows of its standard plane
 embedding (counterclockwise neighbors of every vertex); the abstract graph
-is read off the rows.  The two five-vertex/eight-edge entries differ as
-abstract graphs (K5 minus two disjoint edges vs. K5 minus two adjacent
-edges), so isomorphism against this list classifies every block that has a
-catalog shape.
+is read off the rows.  No two entries are isomorphic, not even the two
+five-vertex/eight-edge ones (K5 minus two disjoint edges vs. K5 minus two
+adjacent edges), and no two share a degree sequence, which is what lets
+:mod:`triblock.blocks` label a block by its sizes and degrees alone.
 """
 
 from __future__ import annotations
@@ -13,11 +13,9 @@ from __future__ import annotations
 from .plane_graph import Graph, PlaneGraph
 
 __all__ = [
-    "CATALOG_COUNTS",
     "CATALOG_LABELS",
     "catalog_graph",
     "catalog_plane_graph",
-    "labels_by_size",
 ]
 
 #: Catalog order: by vertex count, then edge count descending within it.
@@ -55,14 +53,8 @@ _ROTATIONS: dict[str, tuple[tuple[int, ...], ...]] = {
     "B6": ((4, 5, 1, 2), (0, 2), (3, 4, 0, 1), (4, 2), (5, 0, 2, 3), (0, 4)),
 }
 
-#: label -> (vertex count, edge count)
-CATALOG_COUNTS: dict[str, tuple[int, int]] = {
-    label: (len(rows), sum(map(len, rows)) // 2)
-    for label, rows in _ROTATIONS.items()
-}
-
 #: label -> the abstract catalog graph, built once and shared (a `Graph` is
-#: immutable): classification probes these for every block it labels.
+#: immutable).
 _GRAPHS: dict[str, Graph] = {
     label: Graph.from_edges(
         len(rows), ((v, w) for v, row in enumerate(rows) for w in row if v < w)
@@ -89,9 +81,3 @@ def catalog_plane_graph(label: str) -> PlaneGraph:
     rows = _entry(_ROTATIONS, label)
     return PlaneGraph(len(rows), rows)
 
-
-def labels_by_size(n: int, m: int) -> tuple[str, ...]:
-    """Catalog labels whose graphs have exactly n vertices and m edges."""
-    return tuple(
-        label for label in CATALOG_LABELS if CATALOG_COUNTS[label] == (n, m)
-    )

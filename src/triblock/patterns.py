@@ -54,10 +54,10 @@ each keeps the first witness.
 
 Each pattern is prepared once (`_prepare`): its plan, its radius (None
 when disconnected), its root orbit and its anchored plans.  `isomorphic`
-and the block classification through it build only a plan (`_plan`), so
-the graphs they compare get no orbits computed for nothing.  Each of the
-two caches holds at most 64 entries: `isomorphic` plans its first graph as
-a pattern, so an unbounded cache would grow with every oracle sweep.
+builds only a plan (`_plan`), so the graphs it compares get no orbits
+computed for nothing.  Each of the two caches holds at most 64 entries:
+`isomorphic` plans its first graph as a pattern, so an unbounded cache
+would grow with every oracle sweep.
 """
 
 from __future__ import annotations
@@ -444,9 +444,9 @@ def isomorphic(g: Graph, h: Graph) -> bool:
 
     The answer is symmetric, the cost is not: ``g`` is the side planned,
     through the cached `_plan`, and ``h`` the side searched.  A caller that
-    tests one graph against many passes the recurring one first (a catalog
-    graph in block classification, a kept representative in the oracle's
-    deduplication), so its plan is built once.
+    tests one graph against many passes the recurring one first (the
+    oracle's deduplication passes its kept representative), so its plan is
+    built once.
     """
     if g.n != h.n or g.m != h.m:
         return False

@@ -302,17 +302,27 @@ class PlaneGraph:
         return len(self.faces)
 
     def dart(self, u: int, v: int) -> int:
-        """The dart from u to v; ValueError when they are not adjacent.
+        """The dart from u to v; ValueError, naming u and v, when either is
+        not a vertex or they are not adjacent.
 
         The row of the lower-degree end is searched, so asking for every
         edge of a planar graph costs O(m) in all: the sum over edges of
         min(deg u, deg v) is at most 2·arboricity·m (Chiba & Nishizeki,
         SIAM J. Comput. 1985), and a planar graph has arboricity <= 3.
         """
+        n = self.n
+        if not (0 <= u < n and 0 <= v < n):
+            # A negative index would wrap to the last row.
+            raise ValueError(
+                f"no dart ({u}, {v}): vertex out of range for n={n}"
+            )
         row_u, row_v = self.rotation[u], self.rotation[v]
-        if len(row_u) <= len(row_v):
-            return self._offset[u] + row_u.index(v)
-        return self.twin[self._offset[v] + row_v.index(u)]
+        try:
+            if len(row_u) <= len(row_v):
+                return self._offset[u] + row_u.index(v)
+            return self.twin[self._offset[v] + row_v.index(u)]
+        except ValueError:
+            raise ValueError(f"no dart ({u}, {v}): not adjacent") from None
 
     def faces_of_edge(self, edge: Edge) -> tuple[int, int]:
         """Face indices on the two sides of an edge.

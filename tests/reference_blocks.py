@@ -5,7 +5,8 @@ the flood fill over 3-faces is the same rule, but every block is collected
 as a set of normalized edge tuples, trivial blocks are the edges no 3-face
 reaches (``pg.graph.edges`` minus the covered ones), blocks are ordered by
 their smallest edge tuple, darts are found again through ``pg.dart``, and
-every block is relabeled and classified without any memo.  Tests compare
+every block is relabeled and labeled by an isomorphism search against the
+catalog graphs, sharing no labeling code with ``decompose``.  Tests compare
 the two field by field.
 """
 
@@ -13,13 +14,27 @@ from __future__ import annotations
 
 from itertools import chain
 
-from triblock.blocks import Decomposition, TriangularBlock, classify
+from triblock.blocks import Decomposition, TriangularBlock
+from triblock.catalog import CATALOG_LABELS, catalog_graph
+from triblock.patterns import isomorphic
 from triblock.plane_graph import Edge, Graph, PlaneGraph, normalize_edge
 
 
 def relabeled(vertices: frozenset[int], edges: frozenset[Edge]) -> Graph:
     index = {v: i for i, v in enumerate(sorted(vertices))}
     return Graph.from_edges(len(index), ((index[u], index[v]) for u, v in edges))
+
+
+def reference_label(g: Graph) -> str:
+    """The first catalog label whose graph `isomorphic` accepts, or "Other"."""
+    return next(
+        (
+            label
+            for label in CATALOG_LABELS
+            if isomorphic(catalog_graph(label), g)
+        ),
+        "Other",
+    )
 
 
 def reference_decompose(pg: PlaneGraph) -> Decomposition:
@@ -86,7 +101,7 @@ def reference_decompose(pg: PlaneGraph) -> Decomposition:
                 vertices=vertices,
                 interior_faces=faces_,
                 outer_faces=tuple(outer[block_id]),
-                label=classify(relabeled(vertices, edges), len(faces_)),
+                label=reference_label(relabeled(vertices, edges)),
             )
         )
     return Decomposition(blocks=tuple(blocks), edge_to_block=edge_to_block)

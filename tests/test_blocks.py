@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -11,7 +12,7 @@ from conftest import (
     random_thinned_triangulation,
 )
 from drawing import from_coordinates
-from reference_blocks import reference_decompose
+from reference_blocks import reference_decompose, reference_label
 from triblock.blocks import (
     DecompositionError,
     NotB5c,
@@ -109,6 +110,24 @@ def test_classification_is_relabeling_invariant():
             rng.shuffle(perm)
             dec = decompose(permuted(pg, perm))
             assert [b.label for b in dec.blocks] == [label]
+
+
+def test_classify_is_exact_at_every_catalog_size():
+    """Every graph on 0..n-1 with m edges, at each catalog (n, m): the
+    (n, m, degree sequence) lookup gives the label of the reference's
+    isomorphism search against the catalog, "Other" included."""
+    graphs = [catalog_graph(label) for label in CATALOG_LABELS]
+    keys = {(g.n, g.m, g.degree_sequence()) for g in graphs}
+    assert len(keys) == len(CATALOG_LABELS)
+    found: Counter[str] = Counter()
+    for n, m in sorted({(g.n, g.m) for g in graphs}):
+        for edges in combinations(combinations(range(n), 2), m):
+            g = Graph(n, frozenset(edges))
+            expected = reference_label(g)
+            assert classify(g, 0 if m == 1 else 1) == expected, (n, edges)
+            found[expected] += 1
+    assert sum(found.values()) == 5189
+    assert set(found) == {*CATALOG_LABELS, "Other"}
 
 
 def test_classify_rejects_trivial_block_with_interior_faces():
@@ -286,80 +305,6 @@ def test_outer_faces_match_a_recount_through_faces_of_edge():
     assert bridges > 0  # the thinned hosts exercise the two-step bridge case
 
 
-def test_classify_plans_the_catalog_graph(monkeypatch):
-    # `isomorphic` plans (and caches) its first argument, so classification
-    # passes the catalog graph, which recurs, and searches the block in it.
-    import triblock.blocks as blocks
-    from triblock.catalog import labels_by_size
-    from triblock.patterns import isomorphic
-
-    calls: list[tuple[Graph, Graph]] = []
-
-    def recording(g: Graph, h: Graph) -> bool:
-        calls.append((g, h))
-        return isomorphic(g, h)
-
-    monkeypatch.setattr(blocks, "isomorphic", recording)
-    for label in CATALOG_LABELS:
-        g = catalog_graph(label)
-        if g.m == 1:
-            continue
-        perm = list(range(g.n))[::-1]
-        subgraph = Graph.from_edges(g.n, ((perm[u], perm[v]) for u, v in g.edges))
-        calls.clear()
-        assert classify(subgraph, 1) == label
-        catalog = [catalog_graph(other) for other in labels_by_size(g.n, g.m)]
-        assert calls
-        for first, second in calls:
-            assert first is not subgraph and first in catalog and second is subgraph
-
-
-def test_decompose_classifies_each_block_shape_once(monkeypatch):
-    """Only blocks of a catalog size reach `classify`, each shape once while
-    it stays in the bounded memo, and every label is the one an unmemoized
-    `classify` gives."""
-    import triblock.blocks as blocks
-    from triblock.catalog import CATALOG_COUNTS
-    from triblock.constructions import build_skeleton, substitute_b5a
-
-    family = substitute_b5a(build_skeleton(1))
-    rng = random.Random(7)
-    hosts = [family, thinned(family, 0.3, rng), thinned(catalog_plane_graph("B6"), 0.3, rng)]
-    hosts += [catalog_plane_graph(label) for label in CATALOG_LABELS]
-    octahedron = embed(Graph.from_edges(6, [
-        (0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
-        (0, 4), (0, 5), (1, 5), (1, 3), (2, 3), (2, 4),
-    ]))
-    hosts.append(octahedron)
-    calls: list[tuple[Graph, int]] = []
-
-    def counting(subgraph: Graph, interior_face_count: int) -> str:
-        calls.append((subgraph, interior_face_count))
-        return classify(subgraph, interior_face_count)
-
-    monkeypatch.setattr(blocks, "classify", counting)
-    blocks._shape_label.cache_clear()
-    try:
-        labels = set()
-        for pg in hosts:
-            for b in decompose(pg).blocks:
-                unmemoized = classify(b.induced_subgraph()[0], len(b.interior_faces))
-                assert b.label == unmemoized
-                labels.add(b.label)
-        assert {"B2", "B3", "B5a", "B6", "Other"} <= labels
-        catalog_sizes = set(CATALOG_COUNTS.values())
-        assert calls and all((g.n, g.m) in catalog_sizes for g, _ in calls)
-        remembered = blocks._shape_label.cache_info().currsize
-        assert len(set(calls)) == len(calls) == remembered
-        calls.clear()
-        dec = decompose(octahedron)  # one block of no catalog size
-        assert [b.label for b in dec.blocks] == ["Other"] and calls == []
-        assert len(decompose(family).blocks) > 1
-        assert calls == []  # every block of the family is the remembered B5a
-    finally:
-        blocks._shape_label.cache_clear()
-
-
 def test_decompose_matches_the_edge_tuple_reference(bbar_gadget: PlaneGraph):
     from triblock.constructions import build_skeleton, substitute_b5a
 
@@ -372,6 +317,7 @@ def test_decompose_matches_the_edge_tuple_reference(bbar_gadget: PlaneGraph):
         rows = random_thinned_triangulation(rng.randrange(6, 50), p, rng)
         hosts.append(PlaneGraph(len(rows), rows))
     bridges = 0
+    labels: set[str] = set()
     for pg in hosts:
         dec, ref = decompose(pg), reference_decompose(pg)
         assert len(dec.blocks) == len(ref.blocks)
@@ -381,5 +327,7 @@ def test_decompose_matches_the_edge_tuple_reference(bbar_gadget: PlaneGraph):
             assert b.outer_faces == r.outer_faces
             assert b.label == r.label
             bridges += b.is_trivial and len(b.outer_faces) == 1
+            labels.add(b.label)
         assert dec.edge_to_block == ref.edge_to_block
     assert bridges > 0
+    assert labels == {*CATALOG_LABELS, "Other"}

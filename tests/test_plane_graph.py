@@ -255,3 +255,14 @@ def test_dart_arrays_are_a_half_edge_structure():
             assert all(pg.face[d] == index for d in face.darts)
             assert pg.face_vertices(index) == tuple(a for a, _ in walk)
             assert pg.face_edges(index) == {normalize_edge(*dart) for dart in walk}
+
+
+def test_dart_refuses_non_vertices_and_non_edges():
+    # A negative vertex must not wrap to the last row: on the triangle,
+    # (-1, 0) would otherwise read as a dart id past 2m - 1.
+    pg = PlaneGraph(3, [[1, 2], [2, 0], [0, 1]])
+    for u, v in ((-1, 0), (0, -1), (0, 3), (3, 0), (0, 0)):
+        with pytest.raises(ValueError, match=rf"\({u}, {v}\)"):
+            pg.dart(u, v)
+    with pytest.raises(ValueError, match=r"\(-1, 0\)"):
+        pg.faces_of_edge((-1, 0))
