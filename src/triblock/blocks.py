@@ -200,7 +200,7 @@ def decompose(pg: PlaneGraph) -> Decomposition:
         group_of[fid] = g
         group = [fid]
         for current in group:  # the group grows while it is scanned
-            for d in faces[current].darts:
+            for d in faces[current]:
                 other = face[twin[d]]
                 if group_of[other] == -2:
                     group_of[other] = g
@@ -245,7 +245,7 @@ def decompose(pg: PlaneGraph) -> Decomposition:
     # it (or made a trivial block non-trivial).
     outer: list[list[tuple[int, int]]] = [[] for _ in keys]
     for fid in compress(count(), map((-1).__eq__, group_of)):
-        darts = faces[fid].darts
+        darts = faces[fid]
         steps: dict[int, int] = {}
         for b in map(block_of.__getitem__, darts):
             steps[b] = steps.get(b, 0) + 1

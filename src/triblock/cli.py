@@ -262,8 +262,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         return 1
     k = args.k
     if args.skeleton_only:
-        skeleton = build_skeleton(k)
-        pg = skeleton.plane_graph
+        pg = build_skeleton(k)
         comment = f"skeleton k={k}: n={pg.n} m={pg.m}"
         if args.verify:
             if args.json:

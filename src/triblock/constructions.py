@@ -29,7 +29,6 @@ __all__ = [
     "Gadget",
     "GluingMismatch",
     "ExtremalReport",
-    "SkeletonGraph",
     "build_skeleton",
     "gadget_a",
     "gadget_b",
@@ -166,15 +165,14 @@ def _check_gadget_invariants(
 def _check_edge_face_types(
     pg: PlaneGraph, exempt: frozenset[Edge] = frozenset()
 ) -> None:
-    for face in pg.faces:
-        if face.dart_count not in (3, 5):
+    for fid, walk in enumerate(pg.faces):
+        if len(walk) not in (3, 5):
             raise GluingMismatch(
-                f"face {face.index} has {face.dart_count} darts, "
-                "expected 3 or 5"
+                f"face {fid} has {len(walk)} darts, expected 3 or 5"
             )
     for edge in sorted(pg.graph.edges):
         a, b = pg.faces_of_edge(edge)
-        lengths = sorted((pg.faces[a].dart_count, pg.faces[b].dart_count))
+        lengths = sorted((len(pg.faces[a]), len(pg.faces[b])))
         if lengths == [3, 5]:
             continue
         if lengths == [5, 5] and edge in exempt:
@@ -219,17 +217,6 @@ def gadget_b() -> Gadget:
     """
     pg, inner, outer = _lone_gadget("b", (50, 100, 52))
     return Gadget(pg, red_pentagon=inner, blue_pentagon=outer)
-
-
-@dataclass(frozen=True)
-class SkeletonGraph:
-    """A glued chain of gadget copies."""
-
-    plane_graph: PlaneGraph
-    k: int
-
-    def triangle_face_ids(self) -> tuple[int, ...]:
-        return self.plane_graph.triangle_faces()
 
 
 Place = tuple[int, int]  # (global ring level, angle in [0, 360))
@@ -286,14 +273,14 @@ def _ccw_key(v: Place, w: Place) -> tuple[int, int]:
     return (1 if d < 0 else 3, 0)
 
 
-def build_skeleton(k: int) -> SkeletonGraph:
+def build_skeleton(k: int) -> PlaneGraph:
     """Glue k+1 nested copies of gadget A alternating with k copies of
     gadget B; validates every structural invariant before returning."""
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     pg, _ = _build_chain("a" + "ba" * k)
     _validate_skeleton(pg, k)
-    return SkeletonGraph(plane_graph=pg, k=k)
+    return pg
 
 
 def _validate_skeleton(pg: PlaneGraph, k: int) -> None:
@@ -302,8 +289,8 @@ def _validate_skeleton(pg: PlaneGraph, k: int) -> None:
         raise GluingMismatch(
             f"skeleton k={k} counts {(pg.n, pg.m)}, expected {expected}"
         )
-    triangles = sum(1 for f in pg.faces if f.dart_count == 3)
-    pentagons = sum(1 for f in pg.faces if f.dart_count == 5)
+    triangles = sum(1 for walk in pg.faces if len(walk) == 3)
+    pentagons = sum(1 for walk in pg.faces if len(walk) == 5)
     if (triangles, pentagons) != (50 * k + 20, 30 * k + 12):
         raise GluingMismatch(
             f"skeleton k={k} has {triangles} triangles and {pentagons} "
@@ -333,26 +320,28 @@ def _plant(rows: list[list[int]], walk: tuple[int, int, int]) -> int:
     return p
 
 
-def substitute_b5a(skeleton: SkeletonGraph) -> PlaneGraph:
-    """Plant two vertices inside every triangle face of the skeleton.
+def substitute_b5a(pg: PlaneGraph) -> PlaneGraph:
+    """Plant two vertices inside every triangle face of a skeleton.
 
     u goes into the triangle and is joined to its three corners; v goes
     into the new triangle on u and the two corners other than the
     smallest.  Planting splices rotation rows (see :func:`_plant`).  Each
     triangle becomes a 5-vertex, 9-edge block whose contribution to the
-    45/17 target is exactly zero.
+    45/17 target is exactly zero.  The result has two more vertices and
+    six more edges per triangle than the input; on the k-th skeleton
+    (50k + 20 triangles) that is 170k + 70 vertices and 450k + 180 edges.
     """
-    pg = skeleton.plane_graph
     rows = [list(row) for row in pg.rotation]
-    for fid in pg.triangle_faces():
+    triangles = pg.triangle_faces()
+    for fid in triangles:
         walk = pg.face_vertices(fid)
         i = walk.index(min(walk))
         a, b, c = walk[i:] + walk[:i]  # a is the smallest corner
         u = _plant(rows, (a, b, c))
         _plant(rows, (b, c, u))
     result = PlaneGraph(len(rows), rows)
-    k = skeleton.k
-    expected = (170 * k + 70, 450 * k + 180)
+    t = len(triangles)
+    expected = (pg.n + 2 * t, pg.m + 6 * t)
     if (result.n, result.m) != expected:
         raise GluingMismatch(
             f"substituted graph counts {(result.n, result.m)}, "

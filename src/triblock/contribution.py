@@ -176,7 +176,7 @@ def _face_share(pg: PlaneGraph, block: TriangularBlock) -> tuple[int, int]:
     faces = pg.faces
     num, den = len(block.interior_faces), 1
     for fid, steps in block.outer_faces:
-        d = len(faces[fid].darts)
+        d = len(faces[fid])
         g = math.gcd(den, d)  # num/den + steps/d over lcm(den, d)
         num = num * (d // g) + steps * (den // g)
         den = den // g * d
@@ -307,7 +307,7 @@ def _bbar_partners(
         e2 = normalize_edge(a2, b2)
         f1 = outside_face(e1)
         f2 = outside_face(e2)
-        if pg.faces[f1].dart_count != 4 or pg.faces[f2].dart_count != 4:
+        if len(pg.faces[f1]) != 4 or len(pg.faces[f2]) != 4:
             return None
         if f1 != f2:
             warnings.warn(

@@ -41,7 +41,12 @@ from dataclasses import dataclass
 from functools import partial
 from multiprocessing import Pool
 
-from .patterns import contains_subgraph_using_edge, is_free, isomorphic
+from .patterns import (
+    contains_subgraph_using_edge,
+    is_free,
+    is_free_of_all,
+    isomorphic,
+)
 from .plane_graph import (
     Edge,
     Graph,
@@ -254,7 +259,9 @@ def max_edges(
     """Exhaustively determine the maximum edge count and the extremal
     graphs.  A tuple of patterns means "free of all of them".  ``jobs`` is
     clamped to the machine's CPU count.  Raises CapExceeded past the cap
-    unless forced."""
+    unless forced, and ValueError for a pattern the empty start graph
+    already contains (an edgeless one of order at most n), since every
+    graph on n vertices then contains it."""
     patterns = (pattern,) if isinstance(pattern, Graph) else tuple(pattern)
     if not patterns:
         raise ValueError("need at least one pattern")
@@ -266,6 +273,12 @@ def max_edges(
     jobs = min(jobs, os.cpu_count() or 1)  # more workers than cores only thrash
     start = time.perf_counter()
     level: list[Graph] = [Graph.from_edges(n, ())]
+    for p in patterns:  # the sweep grows only graphs free of every pattern
+        if not is_free(level[0], p):
+            raise ValueError(
+                f"pattern {pattern_name!r} has no edges and {p.n} vertices: "
+                f"every graph on n={n} vertices contains it"
+            )
     level_sizes = [1]
     explored = 1
     expand = partial(_expand, n=n, patterns=patterns)
@@ -289,7 +302,7 @@ def max_edges(
     witnesses = sorted({canonical_edges(g) for g in level})[:_WITNESS_CAP]
     for edges in witnesses:  # self-audit through the public predicates
         w = Graph.from_edges(n, edges)
-        if not is_planar(w) or not all(is_free(w, p) for p in patterns):
+        if not is_planar(w) or not is_free_of_all(w, patterns):
             raise RuntimeError(
                 f"oracle self-audit failed on witness {edges}; this is a bug"
             )

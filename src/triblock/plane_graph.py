@@ -7,22 +7,24 @@ half-edge (doubly-connected edge list) layout of Muller & Preparata
 Darts are numbered 0..2m-1 in row order: the dart from v to the i-th entry
 of v's row is the row offset of v (the degree sum of the vertices before
 it) plus i.  For each dart d, ``tail[d]`` and ``head[d]`` are its ends,
-``twin[d]`` is the reverse dart, ``next[d]`` is the next dart of its face
-walk (the dart after ``twin[d]`` in the head's row: the successor of
-(u, v) is (v, w) where w immediately follows u in the rotation at v), and
-``face[d]`` is the index of that face.  A rotation system is accepted only
-if the traced face count satisfies Euler's formula n - m + f = 2, i.e. it
-describes a genus-zero (planar) embedding of a connected graph.
+``twin[d]`` is the reverse dart and ``face[d]`` is the index of the face
+whose walk it lies on.  A rotation system is accepted only if the traced
+face count satisfies Euler's formula n - m + f = 2, i.e. it describes a
+genus-zero (planar) embedding of a connected graph.
 
+A face is its dart walk, literally: ``faces[i]`` is the tuple of dart ids
+of face i, in walk order from its first dart.  The dart after d on its
+walk is the dart after ``twin[d]`` in the head's row: the successor of
+(u, v) is (v, w) where w immediately follows u in the rotation at v.
 Faces are traced from their first unvisited dart in dart-id order, which
 is row order, so face indices are those of tracing the plain
 (tail, head) pairs in row order: the numbering changes how a dart is
 stored, not which faces exist or the order they are found in.
 
-A face is its dart walk and nothing else.  Its *size* is the dart count:
-a bridge is walked once from each side and so counts twice.  This is the
-size :mod:`triblock.contribution` splits a face's unit over, and under it
-the per-block face shares sum exactly to the number of faces.  A face is a
+A face's *size* is its dart count, ``len(faces[i])``: a bridge is walked
+once from each side and so counts twice.  This is the size
+:mod:`triblock.contribution` splits a face's unit over, and under it the
+per-block face shares sum exactly to the number of faces.  A face is a
 *triangle* when its walk has exactly three darts; in a simple graph such a
 walk always has three distinct edges, but the converse fails (a star
 K_{1,3} has a single face with six darts and three distinct edges).
@@ -37,7 +39,6 @@ from typing import Iterable, Sequence
 
 __all__ = [
     "DisconnectedGraph",
-    "Face",
     "FormatError",
     "Graph",
     "InconsistentRotation",
@@ -98,8 +99,13 @@ class Graph:
         for u, v in self.edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < v < self.n):
+            if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
+            if u > v:
+                raise ValueError(
+                    f"edge ({u}, {v}) is not a sorted pair; "
+                    "Graph.from_edges sorts pairs"
+                )
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -160,45 +166,26 @@ class Graph:
         return self.n > 0 and len(self.components()) == 1
 
 
-@dataclass(frozen=True, slots=True)
-class Face:
-    """One face of the embedding: its index and the dart ids of its walk,
-    in walk order from the face's first dart."""
-
-    index: int
-    darts: tuple[int, ...]
-
-    @property
-    def dart_count(self) -> int:
-        return len(self.darts)
-
-    @property
-    def is_triangle(self) -> bool:
-        """True for a genuine 3-face: a closed walk of exactly three darts."""
-        return len(self.darts) == 3
-
-
 class PlaneGraph:
     """A validated plane graph: connected, simple, genus zero.
 
     Construction validates everything; instances are immutable afterwards
-    and safe to share between worker processes.  ``tail``, ``head``,
-    ``twin``, ``next`` and ``face`` are the per-dart arrays described in
-    the module docstring.
+    and safe to share between worker processes.  ``faces`` holds each
+    face's dart walk; ``tail``, ``head``, ``twin`` and ``face`` are the
+    per-dart arrays described in the module docstring.
     """
 
     __slots__ = (
         "graph", "rotation", "faces",
-        "tail", "head", "twin", "next", "face", "_offset",
+        "tail", "head", "twin", "face", "_offset",
     )
 
     graph: Graph
     rotation: tuple[tuple[int, ...], ...]
-    faces: tuple[Face, ...]
+    faces: tuple[tuple[int, ...], ...]
     tail: tuple[int, ...]
     head: tuple[int, ...]
     twin: tuple[int, ...]
-    next: tuple[int, ...]
     face: tuple[int, ...]
 
     def __init__(self, n: int, rotations: Sequence[Sequence[int]]):
@@ -245,7 +232,8 @@ class PlaneGraph:
         if not graph.is_connected():
             raise DisconnectedGraph(f"graph on {n} vertices is not connected")
 
-        # next[d] is the dart after twin[d] in the head's row, cyclically.
+        # nxt[d], the dart after d on its face walk, is the dart after
+        # twin[d] in the head's row, cyclically.
         after = ids[1:] + ids[:1]
         for v in range(n):
             after[offset[v + 1] - 1] = ids[offset[v]]
@@ -254,7 +242,7 @@ class PlaneGraph:
         # Trace every face from its first unvisited dart in dart-id order;
         # the dart -> face array doubles as the visited set.
         face = [-1] * len(tail)
-        faces: list[Face] = []
+        faces: list[tuple[int, ...]] = []
         for start in ids:
             if face[start] >= 0:
                 continue
@@ -265,7 +253,7 @@ class PlaneGraph:
                 face[d] = index
                 walk.append(d)
                 d = nxt[d]
-            faces.append(Face(index, tuple(walk)))
+            faces.append(tuple(walk))
 
         f = len(faces)
         if n - graph.m + f != 2:
@@ -280,7 +268,6 @@ class PlaneGraph:
             ("tail", tuple(tail)),
             ("head", tuple(head)),
             ("twin", tuple(twin)),
-            ("next", tuple(nxt)),
             ("face", tuple(face)),
             ("_offset", tuple(offset)),
         ):
@@ -337,18 +324,18 @@ class PlaneGraph:
     def face_vertices(self, fid: int) -> tuple[int, ...]:
         """The tails of a face's darts, in walk order."""
         tail = self.tail
-        return tuple(tail[d] for d in self.faces[fid].darts)
+        return tuple(tail[d] for d in self.faces[fid])
 
     def face_edges(self, fid: int) -> frozenset[Edge]:
         """The distinct underlying edges of a face's walk."""
         tail, head = self.tail, self.head
         return frozenset(
-            normalize_edge(tail[d], head[d]) for d in self.faces[fid].darts
+            normalize_edge(tail[d], head[d]) for d in self.faces[fid]
         )
 
     def triangle_faces(self) -> tuple[int, ...]:
         """Indices of all 3-faces, in face order."""
-        return tuple(f.index for f in self.faces if len(f.darts) == 3)
+        return tuple(i for i, walk in enumerate(self.faces) if len(walk) == 3)
 
     def __repr__(self) -> str:
         return (

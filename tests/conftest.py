@@ -218,7 +218,7 @@ def constructed_instances() -> list[tuple[str, PlaneGraph]]:
     ]
     for k in (0, 1, 2):
         skeleton = build_skeleton(k)
-        out.append((f"skeleton-{k}", skeleton.plane_graph))
+        out.append((f"skeleton-{k}", skeleton))
         out.append((f"extremal-{k}", substitute_b5a(skeleton)))
     return out
 

@@ -48,7 +48,7 @@ def reference_decompose(pg: PlaneGraph) -> Decomposition:
         unabsorbed.remove(fid)
         group = [fid]
         for current in group:
-            for d in faces[current].darts:
+            for d in faces[current]:
                 other = face[twin[d]]
                 if other in unabsorbed:
                     unabsorbed.remove(other)
@@ -61,7 +61,7 @@ def reference_decompose(pg: PlaneGraph) -> Decomposition:
         edges = frozenset(
             normalize_edge(tail[d], head[d])
             for fid in group
-            for d in faces[fid].darts
+            for d in faces[fid]
         )
         raw.append((edges, tuple(sorted(group))))
         covered |= edges
@@ -81,15 +81,15 @@ def reference_decompose(pg: PlaneGraph) -> Decomposition:
         dart_block[d] = dart_block[twin[d]] = block_id
     interior = {fid for _, faces_ in raw for fid in faces_}
     outer: list[list[tuple[int, int]]] = [[] for _ in raw]
-    for f in faces:
-        if f.index in interior:
+    for fid, walk in enumerate(faces):
+        if fid in interior:
             continue
-        assert not f.is_triangle, f.index
+        assert len(walk) != 3, fid
         steps: dict[int, int] = {}
-        for d in f.darts:
+        for d in walk:
             steps[dart_block[d]] = steps.get(dart_block[d], 0) + 1
         for block_id, count in steps.items():
-            outer[block_id].append((f.index, count))
+            outer[block_id].append((fid, count))
 
     blocks = []
     for block_id, (edges, faces_) in enumerate(raw):

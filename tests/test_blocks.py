@@ -202,7 +202,7 @@ def test_block_helpers():
 def test_skeleton_blocks_are_all_triangles():
     from triblock.constructions import build_skeleton
 
-    pg = build_skeleton(0).plane_graph
+    pg = build_skeleton(0)
     dec = decompose(pg)
     assert len(dec.blocks) == 20
     assert all(b.label == "B3" for b in dec.blocks)
@@ -240,14 +240,12 @@ def test_decompose_refuses_inconsistent_dart_arrays():
     darts carry is not covered."""
     from types import SimpleNamespace
 
-    from triblock.plane_graph import Face
-
     pg = catalog_plane_graph("B4b")
     fields = ("n", "m", "faces", "tail", "head", "twin", "face")
     a, b = pg.triangle_faces()
-    (shared,) = (d for d in pg.faces[a].darts if pg.face[pg.twin[d]] == b)
-    walk = tuple(d for d in pg.faces[a].darts if d != shared)
-    faces = tuple(Face(a, walk) if f.index == a else f for f in pg.faces)
+    (shared,) = (d for d in pg.faces[a] if pg.face[pg.twin[d]] == b)
+    walk = tuple(d for d in pg.faces[a] if d != shared)
+    faces = pg.faces[:a] + (walk,) + pg.faces[a + 1:]
     skipping = SimpleNamespace(**{k: getattr(pg, k) for k in fields})
     skipping.faces, skipping.triangle_faces = faces, lambda: (a, b)
     claimed = r"edge \(\d+, \d+\) claimed by blocks 0 and 1"

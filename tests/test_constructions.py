@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
+from triblock import constructions
 from triblock.constructions import (
     Gadget,
     GluingMismatch,
@@ -13,11 +16,11 @@ from triblock.constructions import (
     verify_extremal,
 )
 from triblock.patterns import THETA6_2, cycle_graph, is_free
-from triblock.plane_graph import normalize_edge
+from triblock.plane_graph import PlaneGraph, normalize_edge
 
 
 def edge_face_lengths(pg, edge):
-    return sorted(pg.faces[f].dart_count for f in pg.faces_of_edge(edge))
+    return sorted(len(pg.faces[f]) for f in pg.faces_of_edge(edge))
 
 
 def test_gadget_a_counts_and_regularity():
@@ -85,25 +88,23 @@ def test_gadget_rejects_fake_pentagon():
 
 @pytest.mark.parametrize("k", [0, 1, 2, 199])
 def test_skeleton_counts(k: int):
-    skeleton = build_skeleton(k)
-    pg = skeleton.plane_graph
-    assert skeleton.k == k
+    pg = build_skeleton(k)
     assert (pg.n, pg.m) == (70 * k + 30, 150 * k + 60)
-    lengths = sorted(f.dart_count for f in pg.faces)
+    lengths = sorted(map(len, pg.faces))
     assert lengths.count(3) == 50 * k + 20
     assert lengths.count(5) == 30 * k + 12
     assert len(lengths) == 80 * k + 32
-    assert len(skeleton.triangle_face_ids()) == 50 * k + 20
+    assert len(pg.triangle_faces()) == 50 * k + 20
 
 
 def test_skeleton_edge_face_types_are_strict():
-    pg = build_skeleton(1).plane_graph
+    pg = build_skeleton(1)
     for edge in pg.graph.edges:
         assert edge_face_lengths(pg, edge) == [3, 5]
 
 
 def test_skeleton_is_c4_free():
-    assert is_free(build_skeleton(1).plane_graph, cycle_graph(4))
+    assert is_free(build_skeleton(1), cycle_graph(4))
 
 
 def test_skeleton_rejects_negative_k():
@@ -115,7 +116,7 @@ def test_skeleton_rejects_negative_k():
 def test_substitution_counts(k: int):
     graph = substitute_b5a(build_skeleton(k))
     assert (graph.n, graph.m) == (170 * k + 70, 450 * k + 180)
-    lengths = sorted(f.dart_count for f in graph.faces)
+    lengths = sorted(map(len, graph.faces))
     # every skeleton triangle becomes five triangles; pentagons survive
     assert lengths.count(3) == 5 * (50 * k + 20)
     assert lengths.count(5) == 30 * k + 12
@@ -125,11 +126,28 @@ def test_substitution_counts(k: int):
 def test_planting_needs_the_walk_of_a_face():
     # Reversed, a triangle's walk bounds no face (a pentagon lies across
     # each of its edges), so some corner lacks the wedge to splice into.
-    pg = build_skeleton(0).plane_graph
+    pg = build_skeleton(0)
     x, y, z = pg.face_vertices(pg.triangle_faces()[0])
     rows = [list(row) for row in pg.rotation]
     with pytest.raises(GluingMismatch):
         _plant(rows, (x, z, y))
+
+
+def test_substitution_adds_two_vertices_and_six_edges_per_triangle():
+    # Any plane graph's triangles take the planting; K4 has four.
+    k4 = PlaneGraph(4, [[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
+    graph = substitute_b5a(k4)
+    assert (graph.n, graph.m) == (4 + 2 * 4, 6 + 6 * 4)
+    assert len(graph.triangle_faces()) == 5 * 4
+
+
+def test_substitution_checks_its_counts_against_its_input(monkeypatch):
+    # A planting that adds nothing leaves the input's counts.
+    monkeypatch.setattr(constructions, "_plant", lambda rows, walk: len(rows))
+    with pytest.raises(GluingMismatch, match=re.escape(
+        "substituted graph counts (30, 60), expected (70, 180)"
+    )):
+        substitute_b5a(build_skeleton(0))
 
 
 def test_substitution_hits_the_bound_exactly():
@@ -175,8 +193,8 @@ def test_verify_extremal_report_json():
 def test_skeleton_extends_the_previous_one():
     # Nesting only adds outer rings: the k=0 gadget sits unchanged inside
     # the k=1 skeleton with the same vertex ids.
-    small = build_skeleton(0).plane_graph
-    large = build_skeleton(1).plane_graph
+    small = build_skeleton(0)
+    large = build_skeleton(1)
     assert small.graph.edges <= large.graph.edges
     # Off the outer ring, where the next copy is glued on, the embedding
     # is untouched too: every rotation row stays exactly as it was.

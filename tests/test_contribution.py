@@ -389,7 +389,7 @@ def test_integer_ledger_matches_the_fraction_formula(
         dec = decompose(pg)
         f_of = [
             len(b.interior_faces)
-            + sum(Fraction(steps, pg.faces[fid].dart_count) for fid, steps in b.outer_faces)
+            + sum(Fraction(steps, len(pg.faces[fid])) for fid, steps in b.outer_faces)
             for b in dec.blocks
         ]
         for spec in (THETA6_1_SPEC, THETA6_2_SPEC):

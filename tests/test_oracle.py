@@ -256,6 +256,17 @@ def test_cap_guard():
         max_edges(6, ())
 
 
+def test_an_edgeless_pattern_that_fits_is_refused_before_the_sweep(monkeypatch):
+    # Every graph on 4 vertices, the empty start graph too, contains the
+    # edgeless graph on 2 vertices: there is nothing to sweep.
+    monkeypatch.setattr(oracle, "_expand", None)  # the sweep must not start
+    message = "pattern 'pattern' has no edges and 2 vertices"
+    with pytest.raises(ValueError, match=message):
+        max_edges(4, Graph(2, frozenset()))
+    with pytest.raises(ValueError, match="pattern 'both' has no edges and 4"):
+        max_edges(4, (THETA6_1, Graph(4, frozenset())), pattern_name="both")
+
+
 def test_canonical_edges_is_a_relabeling_invariant_within_budget():
     rng = random.Random(7)
     small = [(name, g) for name, g in systematic_graphs() if g.n <= 8]

@@ -185,7 +185,7 @@ def test_ball_search_finds_the_host_wide_witness():
     # rows at different positions, and only the search from 1 finds the C4.
     rng = random.Random(77)
     hosts = [substitute_b5a(build_skeleton(k)).graph for k in (0, 1, 2)]
-    hosts.append(build_skeleton(1).plane_graph.graph)
+    hosts.append(build_skeleton(1).graph)
     hosts += [catalog_graph(label) for label in CATALOG_LABELS]
     for _ in range(40):
         n = rng.randint(6, 40)
@@ -403,7 +403,7 @@ K15 = Graph.from_edges(6, [(0, i) for i in range(1, 6)])
 def test_pattern_needing_more_degree_than_the_host_has_is_not_found():
     # No vertex of the skeleton or of a small random host has degree 5, so
     # no star K1,5 fits, whether the search runs per root ball or host-wide.
-    skeleton = build_skeleton(0).plane_graph.graph
+    skeleton = build_skeleton(0).graph
     assert max(skeleton.degree_sequence()) < 5
     assert contains_subgraph(skeleton, K15) is None
     assert patterns._find_embedding(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+from itertools import chain
 
 import pytest
 from hypothesis import given, strategies as st
@@ -30,7 +31,7 @@ K4_ROTATIONS = [[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]]
 def test_k4_has_four_triangular_faces():
     pg = PlaneGraph(4, K4_ROTATIONS)
     assert (pg.n, pg.m, pg.face_count) == (4, 6, 4)
-    assert all(f.is_triangle for f in pg.faces)
+    assert all(len(walk) == 3 for walk in pg.faces)
     assert sorted(pg.triangle_faces()) == [0, 1, 2, 3]
 
 
@@ -39,8 +40,8 @@ def test_cycle_has_two_faces_of_full_length():
     rotations = [[(i - 1) % k, (i + 1) % k] for i in range(k)]
     pg = PlaneGraph(k, rotations)
     assert pg.face_count == 2
-    assert sorted(f.dart_count for f in pg.faces) == [k, k]
-    assert not any(f.is_triangle for f in pg.faces)
+    assert sorted(map(len, pg.faces)) == [k, k]
+    assert not any(len(walk) == 3 for walk in pg.faces)
 
 
 def test_star_face_walks_every_edge_twice():
@@ -48,10 +49,9 @@ def test_star_face_walks_every_edge_twice():
     # it must not count as a triangle.
     pg = PlaneGraph(4, [[1, 2, 3], [0], [0], [0]])
     assert pg.face_count == 1
-    face = pg.faces[0]
-    assert face.dart_count == 6
+    assert len(pg.faces[0]) == 6
     assert len(pg.face_edges(0)) == 3
-    assert not face.is_triangle
+    assert pg.triangle_faces() == ()
 
 
 def test_bridge_edge_has_equal_face_pair():
@@ -106,15 +106,18 @@ def test_disconnected_rejected():
 
 def test_dart_counts_sum_to_twice_edges():
     pg = PlaneGraph(4, K4_ROTATIONS)
-    assert sum(f.dart_count for f in pg.faces) == 2 * pg.m
+    assert sum(map(len, pg.faces)) == 2 * pg.m
 
 
 def test_successor_walks_are_closed():
     pg = PlaneGraph(4, K4_ROTATIONS)
-    for face in pg.faces:
-        for dart, nxt in zip(face.darts, face.darts[1:] + face.darts[:1]):
-            assert pg.next[dart] == nxt
-            assert pg.face[dart] == face.index
+    for index, walk in enumerate(pg.faces):
+        for dart, nxt in zip(walk, walk[1:] + walk[:1]):
+            # nxt is the dart after twin[dart] in the head's row.
+            row = pg.rotation[pg.head[dart]]
+            after = row[(row.index(pg.tail[dart]) + 1) % len(row)]
+            assert (pg.tail[nxt], pg.head[nxt]) == (pg.head[dart], after)
+            assert pg.face[dart] == index
 
 
 def test_immutability():
@@ -192,6 +195,20 @@ def test_graph_helpers():
     assert g.is_connected()
 
 
+def test_graph_refuses_unsorted_and_out_of_range_pairs():
+    # Both ends of (1, 0) are vertices: the fault is the order, and
+    # from_edges is the constructor that sorts.
+    with pytest.raises(ValueError, match=re.escape(
+        "edge (1, 0) is not a sorted pair; Graph.from_edges sorts pairs"
+    )):
+        Graph(3, frozenset({(1, 0)}))
+    with pytest.raises(ValueError, match=re.escape("edge (1, 3) out of range for n=3")):
+        Graph(3, frozenset({(1, 3)}))
+    with pytest.raises(ValueError, match=re.escape("edge (3, 1) out of range for n=3")):
+        Graph(3, frozenset({(3, 1)}))
+    assert Graph.from_edges(3, [(1, 0)]).edges == {(0, 1)}
+
+
 def _trace_by_tuples(rotation):
     """Faces traced independently of PlaneGraph: darts as (tail, head)
     pairs, the successor found with row.index, starts taken in row order."""
@@ -217,7 +234,7 @@ def _dart_hosts():
     hosts = [catalog_plane_graph(label) for label in CATALOG_LABELS]
     for k in range(3):
         skeleton = build_skeleton(k)
-        hosts += [skeleton.plane_graph, substitute_b5a(skeleton)]
+        hosts += [skeleton, substitute_b5a(skeleton)]
     rng = random.Random(2024)
     for i in range(40):
         p = (0.0, 0.3, 0.6)[i % 3]
@@ -237,9 +254,11 @@ def test_dart_arrays_are_a_half_edge_structure():
             t = pg.twin[d]
             assert t != d and pg.twin[t] == d
             assert pg.head[d] == pg.tail[t] and pg.tail[d] == pg.head[t]
-            assert pg.face[pg.next[d]] == pg.face[d]
-            assert pg.tail[pg.next[d]] == pg.head[d]
-        assert sorted(pg.next) == list(darts)
+        for index, walk in enumerate(pg.faces):
+            for cur, nxt in zip(walk, walk[1:] + walk[:1]):
+                assert pg.tail[nxt] == pg.head[cur]
+                assert pg.face[cur] == index
+        assert sorted(chain(*pg.faces)) == list(darts)
         for u, v in pg.graph.edges:
             d = pg.dart(u, v)
             assert (pg.tail[d], pg.head[d]) == (u, v)
@@ -250,9 +269,7 @@ def test_dart_arrays_are_a_half_edge_structure():
         expected = _trace_by_tuples(pg.rotation)
         assert len(pg.faces) == len(expected)
         for index, (face, walk) in enumerate(zip(pg.faces, expected)):
-            assert face.index == index
-            assert [(pg.tail[d], pg.head[d]) for d in face.darts] == walk
-            assert all(pg.face[d] == index for d in face.darts)
+            assert [(pg.tail[d], pg.head[d]) for d in face] == walk
             assert pg.face_vertices(index) == tuple(a for a, _ in walk)
             assert pg.face_edges(index) == {normalize_edge(*dart) for dart in walk}
 
