@@ -155,7 +155,7 @@ def _check_gadget_invariants(
     pentagons: their triangle arrives only when another gadget is glued
     onto that ring and the pentagon stops being a face.
     """
-    if any(pg.graph.degree(v) != 4 for v in range(pg.n)):
+    if any(len(row) != 4 for row in pg.rotation):
         raise GluingMismatch("gadget is not 4-regular")
     _check_edge_face_types(pg, exempt=junction_edges)
     if contains_subgraph(pg, cycle_graph(4)) is not None:
@@ -170,7 +170,7 @@ def _check_edge_face_types(
             raise GluingMismatch(
                 f"face {fid} has {len(walk)} darts, expected 3 or 5"
             )
-    for edge in sorted(pg.graph.edges):
+    for edge in sorted(e for e in zip(pg.tail, pg.head) if e[0] < e[1]):
         a, b = pg.faces_of_edge(edge)
         lengths = sorted((len(pg.faces[a]), len(pg.faces[b])))
         if lengths == [3, 5]:

@@ -350,12 +350,13 @@ def contains_subgraph(
     root's automorphism orbit kept above the root (see the module
     docstring); the witness is the one a host-wide search finds.
     """
-    hg = _host_graph(host)
+    # A plane host's rotation rows are its adjacency: no Graph is built.
+    hg = host if isinstance(host, PlaneGraph) else _host_graph(host)
     if pattern.n > hg.n or pattern.m > hg.m:
         return None
     pattern_adj = pattern.adjacency()
     plan, radius, orbit, _ = _prepare(pattern_adj)
-    host_adj = hg.adjacency()
+    host_adj = hg.rotation if isinstance(hg, PlaneGraph) else hg.adjacency()
     if radius is None:
         mapping = _find_embedding(plan, _rows(host_adj))
         return None if mapping is None else EmbeddingWitness(mapping)

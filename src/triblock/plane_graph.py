@@ -10,7 +10,8 @@ it) plus i.  For each dart d, ``tail[d]`` and ``head[d]`` are its ends,
 ``twin[d]`` is the reverse dart and ``face[d]`` is the index of the face
 whose walk it lies on.  A rotation system is accepted only if the traced
 face count satisfies Euler's formula n - m + f = 2, i.e. it describes a
-genus-zero (planar) embedding of a connected graph.
+genus-zero (planar) embedding of a connected graph.  The abstract
+:class:`Graph` is derived from the arrays on demand, when first read.
 
 A face is its dart walk, literally: ``faces[i]`` is the tuple of dart ids
 of face i, in walk order from its first dart.  The dart after d on its
@@ -170,17 +171,17 @@ class PlaneGraph:
     """A validated plane graph: connected, simple, genus zero.
 
     Construction validates everything; instances are immutable afterwards
-    and safe to share between worker processes.  ``faces`` holds each
-    face's dart walk; ``tail``, ``head``, ``twin`` and ``face`` are the
-    per-dart arrays described in the module docstring.
+    and safe to share between worker processes; a pickle holds only the rows.
+    ``faces`` holds each face's dart walk; ``tail``, ``head``, ``twin`` and
+    ``face`` are the per-dart arrays described in the module docstring;
+    ``graph``, the abstract graph, is built from them on first read.
     """
 
     __slots__ = (
-        "graph", "rotation", "faces",
-        "tail", "head", "twin", "face", "_offset",
+        "rotation", "faces",
+        "tail", "head", "twin", "face", "_offset", "_graph",
     )
 
-    graph: Graph
     rotation: tuple[tuple[int, ...], ...]
     faces: tuple[tuple[int, ...], ...]
     tail: tuple[int, ...]
@@ -225,11 +226,13 @@ class PlaneGraph:
                 f"vertex {v} lists {w} but {w} does not list {v}"
             )
 
-        graph = Graph(
-            n, frozenset((v, w) for v, w in zip(tail, head) if v < w)
-        )
-        object.__setattr__(graph, "_adjacency", tuple(map(frozenset, rotation)))
-        if not graph.is_connected():
+        seen, stack = bytearray(n), [0]  # a search over the rows
+        while stack:
+            v = stack.pop()
+            if not seen[v]:
+                seen[v] = 1
+                stack.extend(rotation[v])
+        if 0 in seen:
             raise DisconnectedGraph(f"graph on {n} vertices is not connected")
 
         # nxt[d], the dart after d on its face walk, is the dart after
@@ -255,14 +258,13 @@ class PlaneGraph:
                 d = nxt[d]
             faces.append(tuple(walk))
 
-        f = len(faces)
-        if n - graph.m + f != 2:
+        m, f = len(tail) // 2, len(faces)
+        if n - m + f != 2:
             raise NonPlanarEmbedding(
-                f"Euler check failed: n - m + f = {n} - {graph.m} + {f} = "
-                f"{n - graph.m + f}, expected 2"
+                f"Euler check failed: n - m + f = {n} - {m} + {f} = "
+                f"{n - m + f}, expected 2"
             )
         for name, value in (
-            ("graph", graph),
             ("rotation", rotation),
             ("faces", tuple(faces)),
             ("tail", tuple(tail)),
@@ -270,19 +272,34 @@ class PlaneGraph:
             ("twin", tuple(twin)),
             ("face", tuple(face)),
             ("_offset", tuple(offset)),
+            ("_graph", None),
         ):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("PlaneGraph instances are immutable")
 
+    def __reduce__(self) -> tuple:
+        return (PlaneGraph, (self.n, self.rotation))
+
+    @property
+    def graph(self) -> Graph:
+        """The abstract graph, built from the dart arrays on first read."""
+        if self._graph is None:
+            pairs = zip(self.tail, self.head)
+            graph = Graph(self.n, frozenset((v, w) for v, w in pairs if v < w))
+            adjacency = tuple(map(frozenset, self.rotation))
+            object.__setattr__(graph, "_adjacency", adjacency)
+            object.__setattr__(self, "_graph", graph)
+        return self._graph
+
     @property
     def n(self) -> int:
-        return self.graph.n
+        return len(self.rotation)
 
     @property
     def m(self) -> int:
-        return self.graph.m
+        return len(self.tail) // 2
 
     @property
     def face_count(self) -> int:
@@ -417,9 +434,6 @@ def parse_planegraph(text: str) -> PlaneGraph:
             raise FormatError(f"line {lineno}: vertex {v} out of range")
         rows[v] = neighbors
 
-    if set(rows.keys()) != set(range(n)):
-        missing = sorted(set(range(n)) - set(rows.keys()))
-        raise FormatError(f"missing vertex lines for {missing}")
     total_degree = sum(len(row) for row in rows.values())
     if total_degree != 2 * m:
         raise FormatError(
@@ -449,7 +463,7 @@ def export_dot(pg: PlaneGraph) -> str:
     for v in range(pg.n):
         row = " ".join(str(w) for w in pg.rotation[v])
         out.append(f'  {v} [rotation="{row}"];')
-    for u, v in sorted(pg.graph.edges):
+    for u, v in sorted(e for e in zip(pg.tail, pg.head) if e[0] < e[1]):
         out.append(f"  {u} -- {v};")
     out.append("}")
     return "\n".join(out) + "\n"

@@ -294,6 +294,11 @@ def test_kernel_agrees_with_networkx_at_scale():
         assert (contains_subgraph(graph, pattern) is not None) is expected
 
 
+def test_containment_refuses_a_host_that_is_not_a_graph():
+    with pytest.raises(TypeError, match="expected Graph or PlaneGraph, got str"):
+        contains_subgraph("not a graph", THETA6_1)
+
+
 def test_pattern_larger_than_host_is_never_found():
     assert contains_subgraph(cycle_graph(4), THETA6_1) is None
     assert brute_force_contains(cycle_graph(4), THETA6_1) is None

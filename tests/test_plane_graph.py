@@ -1,16 +1,23 @@
 from __future__ import annotations
 
+import importlib.util
+import pickle
 import random
 import re
+import sys
 from itertools import chain
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_thinned_triangulation
 from drawing import AmbiguousLayout, from_coordinates
+from triblock import plane_graph
 from triblock.catalog import CATALOG_LABELS, catalog_plane_graph
-from triblock.constructions import build_skeleton, substitute_b5a
+from triblock.constructions import build_skeleton, substitute_b5a, verify_extremal
+from triblock.contribution import certify, get_spec
+from triblock.patterns import THETA6_1, is_free
 from triblock.plane_graph import (
     DisconnectedGraph,
     FormatError,
@@ -104,6 +111,15 @@ def test_disconnected_rejected():
         PlaneGraph(4, [[1], [0], [3], [2]])
 
 
+def test_disconnected_rejected_even_when_euler_holds():
+    # A triangle (3 - 3 + 2) beside a K4 embedded on the torus (4 - 6 + 2):
+    # 7 - 9 + 4 = 2, so only the connectivity check can refuse it.
+    toroidal_k4 = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
+    rows = [[1, 2], [2, 0], [0, 1]] + [[w + 3 for w in row] for row in toroidal_k4]
+    with pytest.raises(DisconnectedGraph, match="graph on 7 vertices is not connected"):
+        PlaneGraph(7, rows)
+
+
 def test_dart_counts_sum_to_twice_edges():
     pg = PlaneGraph(4, K4_ROTATIONS)
     assert sum(map(len, pg.faces)) == 2 * pg.m
@@ -124,6 +140,72 @@ def test_immutability():
     pg = PlaneGraph(4, K4_ROTATIONS)
     with pytest.raises(AttributeError):
         pg.graph = None
+
+
+def test_pickle_round_trip_rebuilds_from_the_rows():
+    pg = substitute_b5a(build_skeleton(1))
+    size = len(pickle.dumps(pg))
+    assert pg.graph.m == pg.m  # the cached abstract graph is not pickled
+    assert len(pickle.dumps(pg)) == size
+    again = pickle.loads(pickle.dumps(pg))
+    assert (again.rotation, again.faces) == (pg.rotation, pg.faces)
+    for name in ("tail", "head", "twin", "face"):
+        assert getattr(again, name) == getattr(pg, name)
+
+
+@pytest.fixture
+def graph_builds(monkeypatch):
+    """The vertex counts of the abstract graphs plane_graph builds."""
+    builds = []
+
+    def counting_graph(n, edges):
+        builds.append(n)
+        return Graph(n, edges)
+
+    monkeypatch.setattr(plane_graph, "Graph", counting_graph)
+    return builds
+
+
+def test_the_pipeline_never_builds_the_abstract_graph(graph_builds):
+    member = substitute_b5a(build_skeleton(1))
+    pg = parse_planegraph(format_planegraph(member))
+    free = is_free(pg, THETA6_1)
+    assert certify(pg, get_spec("theta6-1"), freeness_checked=free).bound_holds
+    assert verify_extremal(1).ok
+    assert graph_builds == []
+
+
+def test_the_abstract_graph_is_built_once_on_first_read(graph_builds):
+    pg = PlaneGraph(4, K4_ROTATIONS)
+    assert graph_builds == []
+    first = pg.graph
+    assert graph_builds == [4]
+    assert pg.graph is first
+    assert graph_builds == [4]
+
+
+def _random_hosts(monkeypatch, seed: int, count: int):
+    """The benchmark's seeded random plane hosts, as planegraph text."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "hosts.py"
+    spec = importlib.util.spec_from_file_location("perfbench_hosts", path)
+    hosts = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, hosts)  # dataclasses look it up
+    spec.loader.exec_module(hosts)
+    return [host.text for host in hosts.make_hosts(seed, count)]
+
+
+def test_the_built_graph_is_the_graph_of_the_rows(monkeypatch):
+    pgs = [catalog_plane_graph(label) for label in CATALOG_LABELS]
+    for k in range(3):
+        skeleton = build_skeleton(k)
+        pgs += [skeleton, substitute_b5a(skeleton)]
+    pgs += [parse_planegraph(text) for text in _random_hosts(monkeypatch, 1, 200)]
+    for pg in pgs:
+        rows = Graph.from_edges(
+            pg.n, [(v, w) for v, row in enumerate(pg.rotation) for w in row]
+        )
+        assert pg.graph == rows
+        assert pg.graph.adjacency() == rows.adjacency()
 
 
 def test_from_coordinates_square_with_diagonal():
