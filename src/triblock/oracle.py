@@ -15,6 +15,14 @@ parent order, deduplicated from a sorted list by invariant buckets plus
 exact isomorphism tests, and the final witnesses are canonically
 relabeled.  One worker pool serves the whole sweep.
 
+The sweep holds a graph as rows, each vertex's neighbors as an integer
+bitmask.  A parent's rows are built once; each child is its parent's rows
+with the two bits of the new edge set while it is tested, and its edge
+tuple is built only if it survives.  The deduplication's invariant key
+(degrees by `int.bit_count`, sorted neighbor degrees, triangles as
+popcounts of row intersections) and its isomorphism tests read the rows
+too, through the containment kernel's row-level helpers in `patterns`.
+
 Each child is tested for freeness (anchored on its new edge) and against
 the planar edge bound m <= 3n - 6; the full planarity test runs only on
 the representatives the deduplication keeps.  This leaves every level as
@@ -25,9 +33,15 @@ member either way, and dropping the non-planar representatives afterwards
 leaves the planar ones in their order.  It saves most of the planarity
 calls, since a level has a few hundred classes but thousands of children.
 
-Planarity goes through networkx's linear-time test; a slow rotation-system
-search (`planar_by_embedding_search`) is kept as an independent
-cross-check route and shares no code with it.
+Planarity is first decided by degrees alone where they suffice.  By
+Kuratowski's theorem a non-planar graph contains a subdivision of K5 or of
+K3,3; the five branch vertices of a K5 subdivision have degree at least 4
+in the graph, and the six of a K3,3 subdivision degree at least 3.  So a
+graph with fewer than 5 vertices of degree >= 4 and fewer than 6 of degree
+>= 3 is planar.  That settles 407 of the 424 planarity calls of the n = 7
+theta6-2 sweep.  The rest go through networkx's linear-time test; a slow
+rotation-system search (`planar_by_embedding_search`) is kept as an
+independent cross-check route and shares no code with either.
 """
 
 from __future__ import annotations
@@ -40,12 +54,16 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from multiprocessing import Pool
+from typing import Iterable
 
 from .patterns import (
-    contains_subgraph_using_edge,
+    _Plan,
+    _find_anchored,
+    _find_embedding,
+    _plan,
+    _prepare,
     is_free,
     is_free_of_all,
-    isomorphic,
 )
 from .plane_graph import (
     Edge,
@@ -105,7 +123,13 @@ def _check_planarity(g: Graph):
 def is_planar(g: Graph) -> bool:
     if g.n >= 3 and g.m > 3 * g.n - 6:
         return False
-    if g.m == 0:
+    degree = [0] * g.n
+    for u, v in g.edges:
+        degree[u] += 1
+        degree[v] += 1
+    # Kuratowski: a subdivision of K5 needs 5 vertices of degree >= 4, one
+    # of K3,3 needs 6 of degree >= 3 (see the module docstring).
+    if sum(d >= 4 for d in degree) < 5 and sum(d >= 3 for d in degree) < 6:
         return True
     ok, _ = _check_planarity(g)
     return bool(ok)
@@ -121,23 +145,29 @@ def arbitrary_embedding(g: Graph) -> PlaneGraph:
     return PlaneGraph(g.n, [data[v] for v in range(g.n)])
 
 
-def _triangle_count(g: Graph) -> int:
-    adj = g.adjacency()
-    return sum(len(adj[u] & adj[v]) for u, v in g.edges) // 3
+def _edge_rows(n: int, edges: Iterable[Edge]) -> list[int]:
+    """The neighbors of each vertex 0..n-1 as an integer bitmask."""
+    rows = [0] * n
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
 
 
-def _signatures(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
+def _signatures(rows: list[int]) -> list[tuple[int, tuple[int, ...]]]:
     """Each vertex's isomorphism-invariant signature: its degree and its
     neighbors' degrees in sorted order."""
-    adj = g.adjacency()
+    degree = [row.bit_count() for row in rows]
     return [
-        (len(adj[v]), tuple(sorted(len(adj[w]) for w in adj[v])))
-        for v in range(g.n)
+        (degree[v], tuple(sorted(d for w, d in enumerate(degree) if row >> w & 1)))
+        for v, row in enumerate(rows)
     ]
 
 
-def _invariant_key(g: Graph) -> tuple:
-    return (tuple(sorted(_signatures(g))), _triangle_count(g))
+def _invariant_key(rows: list[int], edges: tuple[Edge, ...]) -> tuple:
+    """The vertex signatures in sorted order and the triangle count."""
+    triangles = sum((rows[u] & rows[v]).bit_count() for u, v in edges) // 3
+    return (tuple(sorted(_signatures(rows))), triangles)
 
 
 def _expand(
@@ -148,39 +178,57 @@ def _expand(
     (every absent edge, whether or not the bound rejects it).
 
     The parent is known free, so any new pattern copy must use the added
-    edge; freeness is checked anchored on it.  The planarity test runs
-    later, on the isomorphism-class representatives only: it is a class
-    invariant, so testing the first member of a class decides them all
-    (see the module docstring).
+    edge; freeness is checked anchored on it, on the parent's rows with
+    the edge's two bits set.  The planarity test runs later, on the
+    isomorphism-class representatives only: it is a class invariant, so
+    testing the first member of a class decides them all (see the module
+    docstring).
     """
-    present = set(parent_edges)
-    examined = n * (n - 1) // 2 - len(present)
-    if n >= 3 and len(present) + 1 > 3 * n - 6:
+    m = len(parent_edges)
+    examined = n * (n - 1) // 2 - m
+    if n >= 3 and m + 1 > 3 * n - 6:
         return [], examined
+    anchored = [
+        _prepare(p.adjacency()).anchored
+        for p in patterns
+        if p.n <= n and p.m <= m + 1
+    ]
+    rows = _edge_rows(n, parent_edges)
     survivors: list[tuple[Edge, ...]] = []
     for u in range(n):
         for v in range(u + 1, n):
-            if (u, v) in present:
+            if rows[u] >> v & 1:
                 continue
-            child_edges = tuple(sorted(present | {(u, v)}))
-            child = Graph.from_edges(n, child_edges)
-            if any(
-                contains_subgraph_using_edge(child, p, (u, v))
-                for p in patterns
-            ):
-                continue
-            survivors.append(child_edges)
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+            hit = any(
+                _find_anchored(plans, rows, (u, v)) is not None
+                for plans in anchored
+            )
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+            if not hit:
+                survivors.append(tuple(sorted((*parent_edges, (u, v)))))
     return survivors, examined
 
 
 def _dedup_level(n: int, children: list[tuple[Edge, ...]]) -> list[Graph]:
-    buckets: dict[tuple, list[Graph]] = {}
+    """The first child of each isomorphism class, in sorted order.
+
+    Children are bucketed by `_invariant_key`; a newcomer is compared with
+    each representative kept in its bucket by one kernel search, the
+    representative planned once when kept and the newcomer searched on its
+    rows.  Every child has the same order and size, and the key fixes the
+    degree sequence, so a hit is an isomorphism (see `isomorphic`).
+    """
+    buckets: dict[tuple, list[_Plan]] = {}
     reps: list[Graph] = []
     for edges in sorted(set(children)):
-        g = Graph.from_edges(n, edges)
-        bucket = buckets.setdefault(_invariant_key(g), [])
-        if not any(isomorphic(h, g) for h in bucket):
-            bucket.append(g)
+        rows = _edge_rows(n, edges)
+        bucket = buckets.setdefault(_invariant_key(rows, edges), [])
+        if all(_find_embedding(plan, rows) is None for plan in bucket):
+            g = Graph.from_edges(n, edges)
+            bucket.append(_plan(g.adjacency(), ()))
             reps.append(g)
     return reps
 
@@ -194,7 +242,7 @@ def canonical_edges(g: Graph) -> tuple[Edge, ...]:
     structure admits more than ``_RELABELING_BUDGET`` relabelings (never
     the case at oracle sizes): any cheaper answer would not be canonical.
     """
-    sig = _signatures(g)
+    sig = _signatures(_edge_rows(g.n, g.edges))
     classes: dict[tuple, list[int]] = {}
     for v in range(g.n):
         classes.setdefault(sig[v], []).append(v)

@@ -52,12 +52,16 @@ edge in turn, host-wide, but skips an arc that a pattern automorphism maps
 an earlier searched arc onto.  `_prepare` gives both restrictions, and why
 each keeps the first witness.
 
-Each pattern is prepared once (`_prepare`): its plan, its radius (None
-when disconnected), its root orbit and its anchored plans.  `isomorphic`
-builds only a plan (`_plan`), so the graphs it compares get no orbits
-computed for nothing.  Each of the two caches holds at most 64 entries:
-`isomorphic` plans its first graph as a pattern, so an unbounded cache
-would grow with every oracle sweep.
+Each pattern is prepared once (`_prepare`, a cache of at most 64
+patterns): its plan, its radius (None when disconnected), its root orbit
+and its anchored plans.  `isomorphic` builds only a plan (`_plan`, not
+cached), so the graphs it compares get no orbits computed for nothing.
+
+The public entry points take graphs; the search itself runs on rows.  The
+exhaustive oracle holds its graphs as rows already, so it calls the same
+row-level helpers directly: `_find_anchored` with a pattern's anchored
+plans, as `contains_subgraph_using_edge` does, and `_plan` with
+`_find_embedding`, as `isomorphic` does.
 """
 
 from __future__ import annotations
@@ -65,9 +69,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice, permutations
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
-from .plane_graph import Graph, PlaneGraph, normalize_edge
+from .plane_graph import Graph, PlaneGraph
 
 #: Name of the containment kernel, reported by the oracle CLI and benchmarks.
 KERNEL_NAME = "pure-python"
@@ -138,24 +142,26 @@ class EmbeddingWitness:
     mapping: tuple[int, ...]
 
     def is_valid(self, host: Graph | PlaneGraph, pattern: Graph) -> bool:
-        hg = _host_graph(host)
+        adj = _host_adjacency(host)
         mp = self.mapping
         if len(mp) != pattern.n or len(set(mp)) != len(mp):
             return False
-        if any(not 0 <= v < hg.n for v in mp):
+        if any(not 0 <= v < host.n for v in mp):
             return False
-        return all(hg.has_edge(mp[a], mp[b]) for a, b in pattern.edges)
+        return all(mp[b] in adj[mp[a]] for a, b in pattern.edges)
 
 
-def _host_graph(host: Graph | PlaneGraph) -> Graph:
+def _host_adjacency(host: Graph | PlaneGraph) -> Sequence[Collection[int]]:
+    """The neighbors of each host vertex: a plane host's rotation rows, so
+    no abstract `Graph` is built for it, or a graph's neighbor sets."""
     if isinstance(host, PlaneGraph):
-        return host.graph
+        return host.rotation
     if isinstance(host, Graph):
-        return host
+        return host.adjacency()
     raise TypeError(f"expected Graph or PlaneGraph, got {type(host).__name__}")
 
 
-def _order(adj: tuple[frozenset[int], ...], fixed: tuple[int, ...]) -> tuple[int, ...]:
+def _order(adj: Sequence[Collection[int]], fixed: tuple[int, ...]) -> tuple[int, ...]:
     """Assignment order: fixed seeds first, then greedily the vertex with
     the most already-placed neighbors (ties: higher degree, lower id)."""
     order = list(fixed)
@@ -181,8 +187,7 @@ class _Plan(NamedTuple):
     earlier: tuple[tuple[int, ...], ...]
 
 
-@lru_cache(maxsize=64)
-def _plan(adj: tuple[frozenset[int], ...], fixed: tuple[int, ...]) -> _Plan:
+def _plan(adj: Sequence[Collection[int]], fixed: tuple[int, ...]) -> _Plan:
     order = _order(adj, fixed)
     pos_of = [0] * len(order)
     for i, pv in enumerate(order):
@@ -350,20 +355,18 @@ def contains_subgraph(
     root's automorphism orbit kept above the root (see the module
     docstring); the witness is the one a host-wide search finds.
     """
-    # A plane host's rotation rows are its adjacency: no Graph is built.
-    hg = host if isinstance(host, PlaneGraph) else _host_graph(host)
-    if pattern.n > hg.n or pattern.m > hg.m:
+    host_adj = _host_adjacency(host)
+    if pattern.n > host.n or pattern.m > host.m:
         return None
     pattern_adj = pattern.adjacency()
     plan, radius, orbit, _ = _prepare(pattern_adj)
-    host_adj = hg.rotation if isinstance(hg, PlaneGraph) else hg.adjacency()
     if radius is None:
         mapping = _find_embedding(plan, _rows(host_adj))
         return None if mapping is None else EmbeddingWitness(mapping)
     root_degree = len(pattern_adj[plan.order[0]])
-    slot = [0] * hg.n  # the bit of each vertex in the current ball, else 0
+    slot = [0] * host.n  # the bit of each vertex in the current ball, else 0
     empty: set[tuple[int, ...]] = set()  # (root position, *rows) searched in vain
-    for root in range(hg.n):
+    for root in range(host.n):
         if len(host_adj[root]) < root_degree:
             continue
         ball = sorted(chain.from_iterable(islice(_layers(host_adj, root), radius + 1)))
@@ -393,17 +396,27 @@ def contains_subgraph_using_edge(
     The workhorse of incremental freeness checking: when a host known to be
     pattern-free gains one edge, any new pattern copy must use that edge.
     """
-    hg = _host_graph(host)
-    if pattern.n > hg.n or pattern.m > hg.m:
+    adj = _host_adjacency(host)
+    if pattern.n > host.n or pattern.m > host.m:
         return None
     u, v = edge
-    if not hg.has_edge(u, v):
+    if not (0 <= u < host.n and v in adj[u]):
         raise ValueError(f"({u}, {v}) is not a host edge")
-    target = _rows(hg.adjacency())
-    for plan in _prepare(pattern.adjacency()).anchored:
-        mapping = _find_embedding(plan, target, edge)
+    anchored = _prepare(pattern.adjacency()).anchored
+    mapping = _find_anchored(anchored, _rows(adj), edge)
+    return None if mapping is None else EmbeddingWitness(mapping)
+
+
+def _find_anchored(
+    anchored: tuple[_Plan, ...], masks: list[int], edge: tuple[int, int]
+) -> tuple[int, ...] | None:
+    """The first copy whose image uses ``edge`` in the host whose rows are
+    ``masks``: each of a pattern's anchored plans (`_prepare`) in turn,
+    with its two pinned positions on the edge's ends."""
+    for plan in anchored:
+        mapping = _find_embedding(plan, masks, edge)
         if mapping is not None:
-            return EmbeddingWitness(mapping)
+            return mapping
     return None
 
 
@@ -423,15 +436,12 @@ def brute_force_contains(
     order.  Exponential; meant for cross-checking the kernel on hosts with
     at most ~9 vertices.  Shares no code with the backtracking search.
     """
-    hg = _host_graph(host)
-    if pattern.n > hg.n:
+    adj = _host_adjacency(host)
+    if pattern.n > host.n:
         return None
     pattern_edges = sorted(pattern.edges)
-    for image in permutations(range(hg.n), pattern.n):
-        if all(
-            normalize_edge(image[a], image[b]) in hg.edges
-            for a, b in pattern_edges
-        ):
+    for image in permutations(range(host.n), pattern.n):
+        if all(image[b] in adj[image[a]] for a, b in pattern_edges):
             return EmbeddingWitness(tuple(image))
     return None
 
@@ -443,16 +453,14 @@ def isomorphic(g: Graph, h: Graph) -> bool:
     that uses up every host edge, i.e. an isomorphism — so the containment
     kernel doubles as the isomorphism decider after cheap invariant checks.
 
-    The answer is symmetric, the cost is not: ``g`` is the side planned,
-    through the cached `_plan`, and ``h`` the side searched.  A caller that
-    tests one graph against many passes the recurring one first (the
-    oracle's deduplication passes its kept representative), so its plan is
-    built once.
+    ``g`` is the side planned and ``h`` the side searched, host-wide: with
+    equal order, a root ball is at best the whole graph.  The oracle's
+    deduplication makes the same kernel call on rows it builds itself,
+    with one plan per kept representative.
     """
     if g.n != h.n or g.m != h.m:
         return False
     if g.degree_sequence() != h.degree_sequence():
         return False
-    # Host-wide: with equal order, a root ball is at best the whole graph.
     plan = _plan(g.adjacency(), ())
     return _find_embedding(plan, _rows(h.adjacency())) is not None

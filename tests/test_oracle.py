@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,7 +24,12 @@ from triblock.oracle import (
     max_edges,
     planar_by_embedding_search,
 )
-from triblock.patterns import THETA6_1, THETA6_2, is_free
+from triblock.patterns import (
+    THETA6_1,
+    THETA6_2,
+    contains_subgraph_using_edge,
+    is_free,
+)
 from triblock.plane_graph import Graph
 
 K5 = Graph.from_edges(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
@@ -49,6 +56,130 @@ def test_planarity_of_the_standard_examples():
     assert not is_planar(K5)
     assert not is_planar(K33)
     assert is_planar(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2)]))
+
+
+def _atlas() -> list[Graph]:
+    """Every graph on at most 7 vertices, one per isomorphism class (the
+    1 253 graphs of networkx's graph atlas)."""
+    import networkx as nx
+
+    return [
+        Graph.from_edges(g.number_of_nodes(), g.edges())
+        for g in nx.graph_atlas_g()
+    ]
+
+
+def _kuratowski_variants() -> list[Graph]:
+    """K5 and K3,3 with one edge subdivided, with a pendant edge, and with
+    isolated vertices added: all non-planar."""
+    out = []
+    for g in (K5, K33):
+        (u, v), n = min(g.edges), g.n
+        out.append(Graph.from_edges(n + 1, (g.edges - {(u, v)}) | {(u, n), (v, n)}))
+        out.append(Graph.from_edges(n + 1, g.edges | {(0, n)}))
+        out.append(Graph(n + 2, g.edges))
+    return out
+
+
+def _networkx_planar(g: Graph) -> bool:
+    import networkx as nx
+
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges)
+    return nx.check_planarity(nxg)[0]
+
+
+def test_is_planar_agrees_with_networkx(monkeypatch):
+    graphs = _atlas() + [K5, K33] + _kuratowski_variants()
+    assert len(graphs) == 1253 + 2 + 6
+    verdicts = {g: _networkx_planar(g) for g in graphs}
+    assert [verdicts[g] for g in _kuratowski_variants()] == [False] * 6
+    for g, planar in verdicts.items():
+        assert is_planar(g) == planar, sorted(g.edges)
+
+    # A graph with fewer than 5 vertices of degree >= 4 and fewer than 6 of
+    # degree >= 3 is decided by that count alone: networkx is never called.
+    def refuse(g: Graph):
+        raise AssertionError(f"networkx called on {sorted(g.edges)}")
+
+    monkeypatch.setattr(oracle, "_check_planarity", refuse)
+    decided = 0
+    for g in graphs:
+        degrees = g.degree_sequence()
+        if sum(d >= 4 for d in degrees) < 5 and sum(d >= 3 for d in degrees) < 6:
+            assert is_planar(g)
+            decided += 1
+    assert 0 < decided < len(graphs)
+
+
+def test_networkx_decides_few_of_the_sweeps_planarity_calls(monkeypatch):
+    # At n = 7, theta6-2, the degree count settles 407 of the 424 calls
+    # (one per kept representative, and one per witness in the self-audit).
+    calls = {"is_planar": 0, "networkx": 0}
+    planar, check = oracle.is_planar, oracle._check_planarity
+
+    def counting_is_planar(g: Graph) -> bool:
+        calls["is_planar"] += 1
+        return planar(g)
+
+    def counting_check(g: Graph):
+        calls["networkx"] += 1
+        return check(g)
+
+    monkeypatch.setattr(oracle, "is_planar", counting_is_planar)
+    monkeypatch.setattr(oracle, "_check_planarity", counting_check)
+    result = max_edges(7, THETA6_2, pattern_name="theta6-2", jobs=1)
+    assert result.level_sizes == KNOWN_LEVEL_SIZES[7, "theta6-2"][0]
+    assert calls == {"is_planar": 424, "networkx": 17}
+
+
+def test_level_sizes_match_a_count_over_the_graph_atlas():
+    # The sweep's level sizes at n = 6 and 7, without the sweep: the atlas
+    # graphs on exactly n vertices that networkx finds planar and that
+    # contain no copy of the pattern, counted by edge count.
+    atlas = [g for g in _atlas() if g.n in (6, 7) and _networkx_planar(g)]
+    for (n, name), (level_sizes, _) in KNOWN_LEVEL_SIZES.items():
+        if n not in (6, 7):
+            continue
+        counts = Counter(
+            g.m for g in atlas if g.n == n and is_free(g, PATTERNS[name])
+        )
+        assert tuple(counts[m] for m in range(max(counts) + 1)) == level_sizes
+
+
+def test_row_expansion_matches_the_public_route(monkeypatch):
+    # Every parent the n = 6 sweeps expand, expanded again through the
+    # public route: one Graph per child and an anchored containment call.
+    expanded: list[tuple] = []
+    expand = oracle._expand
+
+    def recording(parent, n, patterns):
+        result = expand(parent, n, patterns)
+        expanded.append((parent, patterns, result))
+        return result
+
+    monkeypatch.setattr(oracle, "_expand", recording)
+    for name, pattern in PATTERNS.items():
+        max_edges(6, pattern, pattern_name=name, jobs=1)
+    assert len(expanded) == sum(
+        sum(KNOWN_LEVEL_SIZES[6, name][0]) for name in PATTERNS
+    )
+    n = 6
+    for parent, patterns, result in expanded:
+        present = set(parent)
+        survivors = []
+        if len(present) + 1 <= 3 * n - 6:
+            for u, v in itertools.combinations(range(n), 2):
+                if (u, v) in present:
+                    continue
+                child = Graph.from_edges(n, present | {(u, v)})
+                if all(
+                    contains_subgraph_using_edge(child, p, (u, v)) is None
+                    for p in patterns
+                ):
+                    survivors.append(tuple(sorted(child.edges)))
+        assert result == (survivors, n * (n - 1) // 2 - len(present)), parent
 
 
 def test_embedding_search_matches_the_library_test():
@@ -100,19 +231,25 @@ def test_planarity_is_tested_once_per_isomorphism_class(monkeypatch):
 
 
 def test_dedup_plans_the_kept_representative(monkeypatch):
-    # `isomorphic` plans (and caches) its first argument, so a level's
-    # deduplication passes the representative it keeps, not each newcomer.
+    # A kept representative is planned once; each newcomer is only searched,
+    # on its own rows, against the plans kept in its bucket.
     from itertools import permutations
 
-    from triblock.patterns import isomorphic
+    planned: list[tuple] = []
+    searched: list[tuple] = []
+    plan_of, search = oracle._plan, oracle._find_embedding
 
-    calls: list[tuple[Graph, Graph]] = []
+    def recording_plan(adj, fixed):
+        plan = plan_of(adj, fixed)
+        planned.append((adj, plan))
+        return plan
 
-    def recording(g: Graph, h: Graph) -> bool:
-        calls.append((g, h))
-        return isomorphic(g, h)
+    def recording_search(plan, rows, *args):
+        searched.append((plan, list(rows)))
+        return search(plan, rows, *args)
 
-    monkeypatch.setattr(oracle, "isomorphic", recording)
+    monkeypatch.setattr(oracle, "_plan", recording_plan)
+    monkeypatch.setattr(oracle, "_find_embedding", recording_search)
     path, star = [(0, 1), (1, 2), (2, 3)], [(0, 1), (0, 2), (0, 3)]
     children = [
         tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in edges))
@@ -120,9 +257,13 @@ def test_dedup_plans_the_kept_representative(monkeypatch):
         for p in permutations(range(4))
     ]
     reps = oracle._dedup_level(4, children)
-    assert len(reps) == 2 and len(calls) == 12 + 4 - 2
-    assert all(any(g is r for r in reps) for g, _ in calls)
-    assert not any(any(h is r for r in reps) for _, h in calls)
+    assert len(reps) == 2
+    assert [adj for adj, _ in planned] == [g.adjacency() for g in reps]
+    assert len(searched) == 12 + 4 - 2
+    plans = [plan for _, plan in planned]
+    rep_rows = [oracle._edge_rows(4, g.edges) for g in reps]
+    assert all(any(plan is p for p in plans) for plan, _ in searched)
+    assert not any(rows in rep_rows for _, rows in searched)
 
 
 def test_one_pool_serves_the_whole_sweep(monkeypatch):

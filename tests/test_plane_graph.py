@@ -17,7 +17,13 @@ from triblock import plane_graph
 from triblock.catalog import CATALOG_LABELS, catalog_plane_graph
 from triblock.constructions import build_skeleton, substitute_b5a, verify_extremal
 from triblock.contribution import certify, get_spec
-from triblock.patterns import THETA6_1, is_free
+from triblock.patterns import (
+    THETA6_1,
+    THETA6_2,
+    contains_subgraph,
+    contains_subgraph_using_edge,
+    is_free,
+)
 from triblock.plane_graph import (
     DisconnectedGraph,
     FormatError,
@@ -172,6 +178,20 @@ def test_the_pipeline_never_builds_the_abstract_graph(graph_builds):
     free = is_free(pg, THETA6_1)
     assert certify(pg, get_spec("theta6-1"), freeness_checked=free).bound_holds
     assert verify_extremal(1).ok
+    assert graph_builds == []
+
+
+def test_checking_a_witness_on_a_plane_host_builds_no_graph(graph_builds):
+    member = substitute_b5a(build_skeleton(40))
+    witness = contains_subgraph(member, THETA6_2)
+    assert witness is not None
+    assert witness.is_valid(member, THETA6_2)
+    mp = witness.mapping
+    a, b = min(THETA6_2.edges)
+    again = contains_subgraph_using_edge(member, THETA6_2, (mp[a], mp[b]))
+    assert again is not None and again.is_valid(member, THETA6_2)
+    with pytest.raises(ValueError, match="is not a host edge"):
+        contains_subgraph_using_edge(member, THETA6_2, (0, member.n - 1))
     assert graph_builds == []
 
 
