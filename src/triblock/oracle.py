@@ -23,6 +23,15 @@ tuple is built only if it survives.  The deduplication's invariant key
 popcounts of row intersections) and its isomorphism tests read the rows
 too, through the containment kernel's row-level helpers in `patterns`.
 
+A parent is extended once per orbit of its absent edges under its twin
+swaps (two vertices are twins when their rows agree outside the pair),
+not once per absent edge.  Every other child in an orbit is isomorphic to
+the one tried, so every level keeps the same isomorphism classes (see
+`_expand`); the witnesses are canonically relabeled and `explored` still
+counts every absent edge, tried or not, so neither changes.  Children
+isomorphic through other automorphisms of the parent, and children of
+different parents, still meet in the deduplication.
+
 Each child is tested for freeness (anchored on its new edge) and against
 the planar edge bound m <= 3n - 6; the full planarity test runs only on
 the representatives the deduplication keeps.  This leaves every level as
@@ -156,12 +165,22 @@ def _edge_rows(n: int, edges: Iterable[Edge]) -> list[int]:
 
 def _signatures(rows: list[int]) -> list[tuple[int, tuple[int, ...]]]:
     """Each vertex's isomorphism-invariant signature: its degree and its
-    neighbors' degrees in sorted order."""
+    neighbors' degrees in sorted order.  The neighbors of each degree k
+    are counted at once, against the bitmask of the vertices of degree k."""
     degree = [row.bit_count() for row in rows]
-    return [
-        (degree[v], tuple(sorted(d for w, d in enumerate(degree) if row >> w & 1)))
-        for v, row in enumerate(rows)
-    ]
+    of_degree: dict[int, int] = {}
+    for v, d in enumerate(degree):
+        of_degree[d] = of_degree.get(d, 0) | 1 << v
+    masks = sorted(of_degree.items())
+    out = []
+    for d, row in zip(degree, rows):
+        neighbor_degrees: tuple[int, ...] = ()
+        for k, mask in masks:
+            count = (row & mask).bit_count()
+            if count:
+                neighbor_degrees += (k,) * count
+        out.append((d, neighbor_degrees))
+    return out
 
 
 def _invariant_key(rows: list[int], edges: tuple[Edge, ...]) -> tuple:
@@ -170,12 +189,64 @@ def _invariant_key(rows: list[int], edges: tuple[Edge, ...]) -> tuple:
     return (tuple(sorted(_signatures(rows))), triangles)
 
 
+def _twin_classes(rows: list[int]) -> list[list[int]]:
+    """The vertices grouped by the twin relation, each class in ascending
+    order and the classes by their least member.
+
+    u and w are twins when their rows agree outside {u, w}: swapping them
+    is then an automorphism.  This is an equivalence relation (see
+    `_expand`), so each vertex is compared with the least member of each
+    class found so far.
+    """
+    classes: list[list[int]] = []
+    for v, row in enumerate(rows):
+        for c in classes:
+            outside = ~(1 << c[0] | 1 << v)
+            if rows[c[0]] & outside == row & outside:
+                c.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
+
+
+def _orbit_leaders(rows: list[int]) -> list[Edge]:
+    """The absent edges that lead their orbits under the twin swaps, in
+    sorted order: the least members of two classes, or the two least
+    members of one class (see `_expand`)."""
+    classes = _twin_classes(rows)
+    pairs = [(c[0], d[0]) for c, d in itertools.combinations(classes, 2)]
+    pairs += [(c[0], c[1]) for c in classes if len(c) > 1]
+    return sorted((u, v) for u, v in pairs if not rows[u] >> v & 1)
+
+
 def _expand(
     parent_edges: tuple[Edge, ...], n: int, patterns: tuple[Graph, ...]
 ) -> tuple[list[tuple[Edge, ...]], int]:
-    """All one-edge extensions of the parent that stay free and within the
-    planar edge bound m <= 3n - 6, and the number of children examined
-    (every absent edge, whether or not the bound rejects it).
+    """The one-edge extensions of the parent, one per orbit of absent
+    edges under its twin swaps, that stay free and within the planar edge
+    bound m <= 3n - 6; and the number of children examined (every absent
+    edge, whether the bound or the orbit rule skips it or not).
+
+    Twins u and w (rows agreeing outside {u, w}) are either adjacent with
+    equal closed neighborhoods or non-adjacent with equal open ones.  No
+    vertex has one twin of each kind: with u, w non-adjacent twins and
+    w, x adjacent twins, x is a neighbor of w, hence of u, so u lies in
+    the closed neighborhood of x, which is w's, and u would be adjacent
+    to w.  Each kind is an equivalence relation, so twinship is one too.
+    Swapping twins is an automorphism of the parent, and the swaps within
+    a class generate every permutation of it.  So an absent edge's orbit
+    is every pair drawn from the same two classes, or from the same one
+    class; adjacency is the same across an orbit, so a whole orbit is
+    absent.  Only its least pair is tried: the least members of two
+    classes, or the two least members of one.  Every other child is the
+    image of that one under an automorphism of the parent, so it is
+    isomorphic to it and is free and planar exactly when it is.  The
+    deduplication therefore keeps the same classes at every level; only
+    which member of a class comes first in sorted order can change, and
+    the representatives' labels reach no output: `explored` counts
+    absent edges, a class invariant, and the witnesses are canonically
+    relabeled.
 
     The parent is known free, so any new pattern copy must use the added
     edge; freeness is checked anchored on it, on the parent's rows with
@@ -195,20 +266,17 @@ def _expand(
     ]
     rows = _edge_rows(n, parent_edges)
     survivors: list[tuple[Edge, ...]] = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rows[u] >> v & 1:
-                continue
-            rows[u] ^= 1 << v
-            rows[v] ^= 1 << u
-            hit = any(
-                _find_anchored(plans, rows, (u, v)) is not None
-                for plans in anchored
-            )
-            rows[u] ^= 1 << v
-            rows[v] ^= 1 << u
-            if not hit:
-                survivors.append(tuple(sorted((*parent_edges, (u, v)))))
+    for u, v in _orbit_leaders(rows):
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        hit = any(
+            _find_anchored(plans, rows, (u, v)) is not None
+            for plans in anchored
+        )
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        if not hit:
+            survivors.append(tuple(sorted((*parent_edges, (u, v)))))
     return survivors, examined
 
 

@@ -50,7 +50,11 @@ may only take ball vertices greater than the root.  An anchored search
 (`contains_subgraph_using_edge`) pins each pattern arc onto the new host
 edge in turn, host-wide, but skips an arc that a pattern automorphism maps
 an earlier searched arc onto.  `_prepare` gives both restrictions, and why
-each keeps the first witness.
+each keeps the first witness.  Each anchored plan also carries the pattern
+degrees of its two pinned vertices, and `_find_anchored` skips it without
+a search when an end of the host edge has a lower degree than the pattern
+vertex pinned on it: no copy can map a vertex onto one of lower degree.
+At n = 7 this skips about a third of the oracle's anchored plans.
 
 Each pattern is prepared once (`_prepare`, a cache of at most 64
 patterns): its plan, its radius (None when disconnected), its root orbit
@@ -283,13 +287,21 @@ def _layers(adj: Sequence[Sequence[int]], root: int) -> Iterator[list[int]]:
         layer = reached
 
 
+class _Anchored(NamedTuple):
+    """A plan with two pattern vertices pinned first, and their pattern
+    degrees, in pinning order."""
+
+    plan: _Plan
+    degrees: tuple[int, int]
+
+
 class _Pattern(NamedTuple):
     """Everything the searches need from one pattern; see `_prepare`."""
 
     plan: _Plan
     radius: int | None
     orbit: tuple[int, ...]
-    anchored: tuple[_Plan, ...]
+    anchored: tuple[_Anchored, ...]
 
 
 @lru_cache(maxsize=64)
@@ -321,7 +333,9 @@ def _prepare(adj: tuple[frozenset[int], ...]) -> _Pattern:
     automorphism, would be a copy anchored on the earlier arc, whose
     search came back empty.  Pinning the arc (b, a) onto (u, v) is the
     same search as pinning (a, b) onto (v, u): the greedy order after the
-    two pinned vertices depends only on which vertices are placed.
+    two pinned vertices depends only on which vertices are placed.  Each
+    anchored plan carries the pattern degrees of a and b, so that
+    `_find_anchored` skips it when u or v has a lower degree in the host.
 
     Both kinds of automorphism come from the same kernel, embedding the
     pattern into its own rows with a vertex or an arc pinned; equal order
@@ -329,12 +343,13 @@ def _prepare(adj: tuple[frozenset[int], ...]) -> _Pattern:
     """
     plan = _plan(adj, ())
     itself = _rows(adj)
-    anchored: list[_Plan] = []
+    anchored: list[_Anchored] = []
     edges = sorted((a, b) for a, nbrs in enumerate(adj) for b in nbrs if a < b)
     for a, b in edges:
         for arc in ((a, b), (b, a)):
-            if all(_find_embedding(kept, itself, arc) is None for kept in anchored):
-                anchored.append(_plan(adj, arc))
+            if all(_find_embedding(kept.plan, itself, arc) is None for kept in anchored):
+                degrees = (len(adj[arc[0]]), len(adj[arc[1]]))
+                anchored.append(_Anchored(_plan(adj, arc), degrees))
     layers = list(_layers(adj, plan.order[0])) if adj else []
     if not layers or sum(map(len, layers)) < len(adj):
         return _Pattern(plan, None, (), tuple(anchored))
@@ -408,12 +423,21 @@ def contains_subgraph_using_edge(
 
 
 def _find_anchored(
-    anchored: tuple[_Plan, ...], masks: list[int], edge: tuple[int, int]
+    anchored: tuple[_Anchored, ...], masks: list[int], edge: tuple[int, int]
 ) -> tuple[int, ...] | None:
     """The first copy whose image uses ``edge`` in the host whose rows are
     ``masks``: each of a pattern's anchored plans (`_prepare`) in turn,
-    with its two pinned positions on the edge's ends."""
-    for plan in anchored:
+    with its two pinned positions on the edge's ends.
+
+    A plan that pins a pattern vertex onto an end of lower host degree is
+    skipped without a search.  This is exact: an injective edge-preserving
+    map sends a vertex's neighbors to distinct neighbors of its image, so
+    that search could find nothing."""
+    u, v = edge
+    have_u, have_v = masks[u].bit_count(), masks[v].bit_count()
+    for plan, (need_u, need_v) in anchored:
+        if need_u > have_u or need_v > have_v:
+            continue
         mapping = _find_embedding(plan, masks, edge)
         if mapping is not None:
             return mapping

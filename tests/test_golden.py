@@ -1,18 +1,23 @@
-"""Byte identity of the CLI: sha256 digests of what ``cli.main`` prints,
-exit codes included, on a fixed set of inputs.
+"""Byte identity of the CLI and the oracle: sha256 digests of what
+``cli.main`` prints, exit codes included, on a fixed set of inputs, and of
+the oracle's results.
 
 The inputs are the nine catalog blocks, the family member ``construct --k
 1``, K5 minus an edge with a pendant vertex, and 20 seeded thinned stacked
 triangulations, all built without networkx so that no embedding depends
 on its version.  Each command gets one digest over every input in order.
-A change that alters one of these outputs on purpose says so and records
-the new digest; any other change must leave them as they are.
+The oracle gets one digest per (n, pattern) of the shared sweep fixture,
+over its JSON dict without the wall-clock ``elapsed_seconds``: level
+sizes, explored count and every witness edge tuple.  A change that alters
+one of these outputs on purpose says so and records the new digest; any
+other change must leave them as they are.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import json
 import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -21,6 +26,7 @@ from conftest import random_thinned_triangulation
 from drawing import from_coordinates
 from triblock.catalog import CATALOG_LABELS, catalog_plane_graph
 from triblock.cli import main
+from triblock.oracle import OracleResult
 from triblock.plane_graph import PlaneGraph, format_planegraph
 
 COMMANDS: dict[str, list[str]] = {
@@ -38,6 +44,16 @@ GOLDEN: dict[str, str] = {
     "certify theta6-2": "0c3b220696b15b02749d3ad980178d1d609819c7b544921f7192635e98e0009e",
     "check-free theta6-1": "8a3beeccd99555054a0fc8722211b7f8ebbb37ec2195a474e6d0804d5d310252",
     "check-free theta6-2": "9c29f91c252aff9eb0ebf0cf2141b681f6e0b5fd9ddc6524565dadba7b5226e4",
+}
+
+#: Recorded at the commit before the twin-orbit expansion of the sweep.
+ORACLE_GOLDEN: dict[tuple[int, str], str] = {
+    (6, "theta6-1"): "a7a62c33786b06f79c1b7a3d274c411f5e979d4936cfb26837f7603a3c1b6131",
+    (6, "theta6-2"): "6e48c14bae9dca9778c211ac6fb0dc6e6d7d073252fc39f4384e4afd8ff5cbff",
+    (7, "theta6-1"): "61f1dc792978989849f84c495023b2e4114d220fd0962a50a967f65cd65b58b2",
+    (7, "theta6-2"): "a3cdc37182da12e74323de7a214d300d2a5890ce6e6fc4bfada479ef9b87ff6b",
+    (8, "theta6-1"): "8978c53ad2f2ee586afbaa75889cd651e0f87f561237d0f8984757f8edba4fac",
+    (8, "theta6-2"): "f0e7ea6892cfcf20a227229d024597e05d9b662192b376b28561221c2f6c925a",
 }
 
 
@@ -95,6 +111,17 @@ def digests() -> dict[str, str]:
 
 def test_cli_outputs_match_the_recorded_digests():
     assert digests() == GOLDEN
+
+
+def oracle_digest(result: OracleResult) -> str:
+    data = result.to_json_dict()
+    del data["elapsed_seconds"]
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
+def test_oracle_results_match_the_recorded_digests(oracle_results):
+    got = {key: oracle_digest(result) for key, result in oracle_results.items()}
+    assert got == ORACLE_GOLDEN
 
 
 if __name__ == "__main__":  # print the digests, to record them

@@ -29,6 +29,7 @@ from triblock.patterns import (
     THETA6_2,
     contains_subgraph_using_edge,
     is_free,
+    isomorphic,
 )
 from triblock.plane_graph import Graph
 
@@ -148,9 +149,41 @@ def test_level_sizes_match_a_count_over_the_graph_atlas():
         assert tuple(counts[m] for m in range(max(counts) + 1)) == level_sizes
 
 
-def test_row_expansion_matches_the_public_route(monkeypatch):
-    # Every parent the n = 6 sweeps expand, expanded again through the
-    # public route: one Graph per child and an anchored containment call.
+def _automorphic_swaps(
+    n: int, edges: set[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """The vertex pairs u < w whose label swap maps the edge set onto
+    itself, found by applying each swap."""
+    swaps = []
+    for u, w in itertools.combinations(range(n), 2):
+        swap = {u: w, w: u}
+        image = {tuple(sorted((swap.get(a, a), swap.get(b, b)))) for a, b in edges}
+        if image == edges:
+            swaps.append((u, w))
+    return swaps
+
+
+def _swap_orbit(
+    swaps: list[tuple[int, int]], edge: tuple[int, int]
+) -> set[tuple[int, int]]:
+    """The orbit of a vertex pair under the group the swaps generate, by
+    closure."""
+    orbit, frontier = {edge}, [edge]
+    while frontier:
+        a, b = frontier.pop()
+        for u, w in swaps:
+            swap = {u: w, w: u}
+            image = tuple(sorted((swap.get(a, a), swap.get(b, b))))
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return orbit
+
+
+@pytest.fixture(scope="module")
+def n6_expansions() -> list[tuple]:
+    """(parent, patterns, result) of every `_expand` call of the n = 6
+    sweeps, for both patterns."""
     expanded: list[tuple] = []
     expand = oracle._expand
 
@@ -159,16 +192,27 @@ def test_row_expansion_matches_the_public_route(monkeypatch):
         expanded.append((parent, patterns, result))
         return result
 
-    monkeypatch.setattr(oracle, "_expand", recording)
-    for name, pattern in PATTERNS.items():
-        max_edges(6, pattern, pattern_name=name, jobs=1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_expand", recording)
+        for name, pattern in PATTERNS.items():
+            max_edges(6, pattern, pattern_name=name, jobs=1)
     assert len(expanded) == sum(
         sum(KNOWN_LEVEL_SIZES[6, name][0]) for name in PATTERNS
     )
+    return expanded
+
+
+def test_row_expansion_matches_the_public_route(n6_expansions):
+    # Every parent the n = 6 sweeps expand, expanded again through the
+    # public route: one Graph per child and an anchored containment call.
+    # The row route keeps exactly the survivors whose edge is the least of
+    # its orbit under the parent's twin swaps; every other survivor is
+    # isomorphic to the kept child of its orbit's least edge.
     n = 6
-    for parent, patterns, result in expanded:
+    skipped = 0
+    for parent, patterns, result in n6_expansions:
         present = set(parent)
-        survivors = []
+        survivors = {}
         if len(present) + 1 <= 3 * n - 6:
             for u, v in itertools.combinations(range(n), 2):
                 if (u, v) in present:
@@ -178,8 +222,84 @@ def test_row_expansion_matches_the_public_route(monkeypatch):
                     contains_subgraph_using_edge(child, p, (u, v)) is None
                     for p in patterns
                 ):
-                    survivors.append(tuple(sorted(child.edges)))
-        assert result == (survivors, n * (n - 1) // 2 - len(present)), parent
+                    survivors[u, v] = tuple(sorted(child.edges))
+        swaps = _automorphic_swaps(n, present)
+        leader = {edge: min(_swap_orbit(swaps, edge)) for edge in survivors}
+        kept = [survivors[e] for e in sorted(survivors) if leader[e] == e]
+        assert result == (kept, n * (n - 1) // 2 - len(present)), parent
+        for edge, child in survivors.items():
+            if leader[edge] != edge:
+                skipped += 1
+                twin = Graph.from_edges(n, survivors[leader[edge]])
+                assert isomorphic(Graph.from_edges(n, child), twin), (parent, edge)
+    assert skipped > 0
+
+
+def test_twin_orbits_are_exact_on_the_graph_atlas():
+    # On every graph with 3 to 7 vertices: the twin classes are exactly the
+    # classes of label swaps that are automorphisms, and each orbit of
+    # absent edges under those swaps holds exactly one orbit leader.
+    graphs = [g for g in _atlas() if g.n >= 3]
+    assert len(graphs) == 1249
+    merged = 0
+    for g in graphs:
+        rows = oracle._edge_rows(g.n, g.edges)
+        classes = oracle._twin_classes(rows)
+        assert sorted(v for c in classes for v in c) == list(range(g.n))
+        class_of = {v: i for i, c in enumerate(classes) for v in c}
+        swaps = _automorphic_swaps(g.n, set(g.edges))
+        twins = [
+            (u, w)
+            for u, w in itertools.combinations(range(g.n), 2)
+            if class_of[u] == class_of[w]
+        ]
+        assert twins == swaps, sorted(g.edges)
+        merged += len(classes) < g.n
+        leaders = oracle._orbit_leaders(rows)
+        absent = {
+            e for e in itertools.combinations(range(g.n), 2) if e not in g.edges
+        }
+        assert set(leaders) <= absent
+        while absent:
+            orbit = _swap_orbit(swaps, min(absent))
+            assert len(orbit & set(leaders)) == 1, (sorted(g.edges), orbit)
+            absent -= orbit
+    assert 0 < merged < len(graphs)
+
+
+def test_pinned_degree_skip_leaves_the_anchored_search_unchanged(
+    n6_expansions,
+):
+    # Every one-edge extension of every parent the n = 6 sweeps expand:
+    # skipping the plans whose pinned degrees cannot fit gives the mapping
+    # the plain loop over all plans gives.
+    n = 6
+    skipped = 0
+    verdicts = set()
+    for parent, patterns, _ in n6_expansions:
+        for u, v in itertools.combinations(range(n), 2):
+            if (u, v) in parent:
+                continue
+            rows = oracle._edge_rows(n, (*parent, (u, v)))
+            for pattern in patterns:
+                anchored = oracle._prepare(pattern.adjacency()).anchored
+                plain = next(
+                    (
+                        mapping
+                        for plan, _ in anchored
+                        if (mapping := oracle._find_embedding(plan, rows, (u, v)))
+                        is not None
+                    ),
+                    None,
+                )
+                assert oracle._find_anchored(anchored, rows, (u, v)) == plain
+                verdicts.add(plain is None)
+                skipped += sum(
+                    a > rows[u].bit_count() or b > rows[v].bit_count()
+                    for _, (a, b) in anchored
+                )
+    assert verdicts == {True, False}
+    assert skipped > 0
 
 
 def test_embedding_search_matches_the_library_test():
