@@ -28,7 +28,7 @@ from .constructions import (
     substitute_b5a,
     verify_extremal,
 )
-from .contribution import TooSmall, certify, get_spec
+from .contribution import SPECS, TooSmall, certify, get_spec
 from .oracle import CapExceeded, arbitrary_embedding, check_cap, max_edges
 from .patterns import (
     KERNEL_NAME,
@@ -416,7 +416,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--target",
         required=True,
-        help="bound to certify: theta6-1 or theta6-2",
+        help=f"bound to certify: {' or '.join(sorted(SPECS))}",
     )
     p.add_argument(
         "--check-freeness",

@@ -70,7 +70,7 @@ from .blocks import (
     canonical_b5c_frame,
     decompose,
 )
-from .patterns import THETA6_1, THETA6_2
+from .patterns import THETA6_1, THETA6_2, isomorphic
 from .plane_graph import Edge, Graph, PlaneGraph, normalize_edge
 
 __all__ = [
@@ -122,10 +122,20 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+#: name -> (alpha, beta, pattern) of each certification target: 45/17 for
+#: hosts free of the long-chord theta (chord distance 3), 18/7 for hosts
+#: free of the short-chord theta (chord distance 2).
+_TARGETS: dict[str, tuple[int, int, Graph]] = {
+    "theta6-1": (45, 17, THETA6_1),
+    "theta6-2": (18, 7, THETA6_2),
+}
+
+
 @dataclass(frozen=True)
 class BoundSpec:
     """A certification target: m <= (alpha/beta)(n - 2) for pattern-free
-    plane graphs."""
+    plane graphs.  Only a row of `_TARGETS` is accepted, with the pattern
+    up to isomorphism."""
 
     name: str
     alpha: int
@@ -133,11 +143,16 @@ class BoundSpec:
     pattern: Graph
 
     def __post_init__(self) -> None:
-        known = {"theta6-1": (45, 17), "theta6-2": (18, 7)}
-        if known.get(self.name) != (self.alpha, self.beta):
+        target = _TARGETS.get(self.name)
+        if not (
+            target
+            and target[:2] == (self.alpha, self.beta)
+            and isomorphic(target[2], self.pattern)
+        ):
             raise ValueError(
                 f"unknown bound spec {self.name!r} with "
-                f"({self.alpha}, {self.beta})"
+                f"({self.alpha}, {self.beta}) and a pattern of "
+                f"{self.pattern.n} vertices and {self.pattern.m} edges"
             )
 
     def g_coefficients(self) -> tuple[int, int]:
@@ -145,15 +160,11 @@ class BoundSpec:
         return (self.alpha, self.alpha - self.beta)
 
 
-#: 45/17 target for hosts free of the long-chord theta (chord distance 3).
-THETA6_1_SPEC = BoundSpec("theta6-1", 45, 17, THETA6_1)
-#: 18/7 target for hosts free of the short-chord theta (chord distance 2).
-THETA6_2_SPEC = BoundSpec("theta6-2", 18, 7, THETA6_2)
-
 SPECS: dict[str, BoundSpec] = {
-    THETA6_1_SPEC.name: THETA6_1_SPEC,
-    THETA6_2_SPEC.name: THETA6_2_SPEC,
+    name: BoundSpec(name, *target) for name, target in _TARGETS.items()
 }
+THETA6_1_SPEC = SPECS["theta6-1"]
+THETA6_2_SPEC = SPECS["theta6-2"]
 
 
 def get_spec(name: str) -> BoundSpec:

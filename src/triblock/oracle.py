@@ -27,8 +27,10 @@ A parent is extended once per orbit of its absent edges under its twin
 swaps (two vertices are twins when their rows agree outside the pair),
 not once per absent edge.  Every other child in an orbit is isomorphic to
 the one tried, so every level keeps the same isomorphism classes (see
-`_expand`); the witnesses are canonically relabeled and `explored` still
-counts every absent edge, tried or not, so neither changes.  Children
+`_expand`); the witnesses are canonically relabeled and `explored` counts
+every absent edge of every parent, tried or not, so neither changes.  It
+is computed from the level sizes: the start graph, plus level_sizes[m]
+parents with n(n-1)/2 - m absent edges each, summed over m.  Children
 isomorphic through other automorphisms of the parent, and children of
 different parents, still meet in the deduplication.
 
@@ -79,6 +81,7 @@ from .plane_graph import (
     Graph,
     PlaneGraph,
     PlaneGraphError,
+    _layers,
     normalize_edge,
 )
 
@@ -222,11 +225,11 @@ def _orbit_leaders(rows: list[int]) -> list[Edge]:
 
 def _expand(
     parent_edges: tuple[Edge, ...], n: int, patterns: tuple[Graph, ...]
-) -> tuple[list[tuple[Edge, ...]], int]:
+) -> list[tuple[Edge, ...]]:
     """The one-edge extensions of the parent, one per orbit of absent
     edges under its twin swaps, that stay free and within the planar edge
-    bound m <= 3n - 6; and the number of children examined (every absent
-    edge, whether the bound or the orbit rule skips it or not).
+    bound m <= 3n - 6.  `explored` counts all n(n-1)/2 - m absent edges,
+    tried or not; `max_edges` computes it from the level sizes.
 
     Twins u and w (rows agreeing outside {u, w}) are either adjacent with
     equal closed neighborhoods or non-adjacent with equal open ones.  No
@@ -244,9 +247,8 @@ def _expand(
     isomorphic to it and is free and planar exactly when it is.  The
     deduplication therefore keeps the same classes at every level; only
     which member of a class comes first in sorted order can change, and
-    the representatives' labels reach no output: `explored` counts
-    absent edges, a class invariant, and the witnesses are canonically
-    relabeled.
+    the representatives' labels reach no output: `explored` is derived
+    from the level sizes, and the witnesses are canonically relabeled.
 
     The parent is known free, so any new pattern copy must use the added
     edge; freeness is checked anchored on it, on the parent's rows with
@@ -256,9 +258,8 @@ def _expand(
     docstring).
     """
     m = len(parent_edges)
-    examined = n * (n - 1) // 2 - m
     if n >= 3 and m + 1 > 3 * n - 6:
-        return [], examined
+        return []
     anchored = [
         _prepare(p.adjacency()).anchored
         for p in patterns
@@ -277,7 +278,7 @@ def _expand(
         rows[v] ^= 1 << u
         if not hit:
             survivors.append(tuple(sorted((*parent_edges, (u, v)))))
-    return survivors, examined
+    return survivors
 
 
 def _dedup_level(n: int, children: list[tuple[Edge, ...]]) -> list[Graph]:
@@ -396,7 +397,6 @@ def max_edges(
                 f"every graph on n={n} vertices contains it"
             )
     level_sizes = [1]
-    explored = 1
     expand = partial(_expand, n=n, patterns=patterns)
     with Pool(jobs) if jobs > 1 else nullcontext() as pool:
         while True:
@@ -407,14 +407,15 @@ def max_edges(
                 )
             else:
                 results = [expand(p) for p in parents]
-            children = [c for survivors, _ in results for c in survivors]
-            explored += sum(examined for _, examined in results)
+            children = [c for survivors in results for c in survivors]
             next_level = [g for g in _dedup_level(n, children) if is_planar(g)]
             if not next_level:
                 break
             level = next_level
             level_sizes.append(len(next_level))
 
+    pairs = n * (n - 1) // 2  # a parent with m edges has pairs - m absent
+    explored = 1 + sum(k * (pairs - m) for m, k in enumerate(level_sizes))
     witnesses = sorted({canonical_edges(g) for g in level})[:_WITNESS_CAP]
     for edges in witnesses:  # self-audit through the public predicates
         w = Graph.from_edges(n, edges)
@@ -478,12 +479,19 @@ def planar_by_embedding_search(g: Graph, budget: int = 10**6) -> bool | None:
     """Planarity by brute-force search over rotation systems.
 
     A connected graph is planar iff some rotation system traces
-    2 - n + m faces; components are handled separately.  Exponential and
+    2 - n + m faces; each component, the layers around its least vertex,
+    is handled separately.  Exponential and
     only meant to cross-check the fast test on small graphs: returns None
     when any component needs more than ``budget`` rotation systems.
     """
     verdict = True
-    for comp in g.components():
+    adj = g.adjacency()
+    seen: set[int] = set()
+    for v in range(g.n):
+        if v in seen:
+            continue
+        comp = tuple(sorted(itertools.chain.from_iterable(_layers(adj, v))))
+        seen.update(comp)
         if len(comp) <= 2:
             continue
         result = _component_has_planar_rotation(comp, g, budget)

@@ -73,9 +73,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice, permutations
-from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
-from .plane_graph import Graph, PlaneGraph
+from .plane_graph import Graph, PlaneGraph, _layers
 
 #: Name of the containment kernel, reported by the oracle CLI and benchmarks.
 KERNEL_NAME = "pure-python"
@@ -269,22 +269,6 @@ def _find_embedding(
             if i >= 0:
                 used ^= 1 << assigned[i]
     return None
-
-
-def _layers(adj: Sequence[Sequence[int]], root: int) -> Iterator[list[int]]:
-    """Breadth-first layers around ``root``: [root], its neighbors, the
-    vertices at distance 2, and so on."""
-    seen = {root}
-    layer = [root]
-    while layer:
-        yield layer
-        reached = []
-        for u in layer:
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    reached.append(w)
-        layer = reached
 
 
 class _Anchored(NamedTuple):

@@ -10,8 +10,10 @@ it) plus i.  For each dart d, ``tail[d]`` and ``head[d]`` are its ends,
 ``twin[d]`` is the reverse dart and ``face[d]`` is the index of the face
 whose walk it lies on.  A rotation system is accepted only if the traced
 face count satisfies Euler's formula n - m + f = 2, i.e. it describes a
-genus-zero (planar) embedding of a connected graph.  The abstract
-:class:`Graph` is derived from the arrays on demand, when first read.
+genus-zero (planar) embedding of a connected graph; connectivity is
+checked by `_layers`, the one breadth-first search of the package, which
+`patterns` and `oracle` import.  The abstract :class:`Graph` is derived
+from the arrays on demand, when first read.
 
 A face is its dart walk, literally: ``faces[i]`` is the tuple of dart ids
 of face i, in walk order from its first dart.  The dart after d on its
@@ -36,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from operator import eq
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "DisconnectedGraph",
@@ -82,6 +84,22 @@ class FormatError(PlaneGraphError):
 def normalize_edge(u: int, v: int) -> Edge:
     """The unordered pair {u, v} as a sorted tuple."""
     return (u, v) if u < v else (v, u)
+
+
+def _layers(adj: Sequence[Sequence[int]], root: int) -> Iterator[list[int]]:
+    """Breadth-first layers around ``root``: [root], its neighbors, the
+    vertices at distance 2, and so on."""
+    seen = {root}
+    layer = [root]
+    while layer:
+        yield layer
+        reached = []
+        for u in layer:
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    reached.append(w)
+        layer = reached
 
 
 @dataclass(frozen=True)
@@ -142,29 +160,11 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return normalize_edge(u, v) in self.edges
 
-    def components(self) -> list[tuple[int, ...]]:
-        """Vertex sets of the connected components, each sorted, in order
-        of their smallest vertex."""
-        adj = self.adjacency()
-        seen: set[int] = set()
-        out: list[tuple[int, ...]] = []
-        for start in range(self.n):
-            if start in seen:
-                continue
-            seen.add(start)
-            comp = [start]
-            stack = [start]
-            while stack:
-                for w in adj[stack.pop()]:
-                    if w not in seen:
-                        seen.add(w)
-                        comp.append(w)
-                        stack.append(w)
-            out.append(tuple(sorted(comp)))
-        return out
-
     def is_connected(self) -> bool:
-        return self.n > 0 and len(self.components()) == 1
+        """Whether the layers around vertex 0 hold every vertex; the empty
+        graph is not connected."""
+        n = self.n
+        return n > 0 and sum(map(len, _layers(self.adjacency(), 0))) == n
 
 
 class PlaneGraph:
@@ -226,13 +226,7 @@ class PlaneGraph:
                 f"vertex {v} lists {w} but {w} does not list {v}"
             )
 
-        seen, stack = bytearray(n), [0]  # a search over the rows
-        while stack:
-            v = stack.pop()
-            if not seen[v]:
-                seen[v] = 1
-                stack.extend(rotation[v])
-        if 0 in seen:
+        if sum(map(len, _layers(rotation, 0))) < n:
             raise DisconnectedGraph(f"graph on {n} vertices is not connected")
 
         # nxt[d], the dart after d on its face walk, is the dart after

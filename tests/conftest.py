@@ -200,14 +200,19 @@ def systematic_graphs() -> list[tuple[str, Graph]]:
 # session-wide expensive fixtures
 
 
-@pytest.fixture(scope="session")
-def oracle_results() -> dict[tuple[int, str], OracleResult]:
+def oracle_sweeps() -> dict[tuple[int, str], OracleResult]:
+    """The oracle at n = 6, 7 and 8 for both patterns."""
     jobs = min(8, os.cpu_count() or 1)
     out: dict[tuple[int, str], OracleResult] = {}
     for n in (6, 7, 8):
         for name, pattern in PATTERNS.items():
             out[n, name] = max_edges(n, pattern, pattern_name=name, jobs=jobs)
     return out
+
+
+@pytest.fixture(scope="session")
+def oracle_results() -> dict[tuple[int, str], OracleResult]:
+    return oracle_sweeps()
 
 
 @pytest.fixture(scope="session")

@@ -31,7 +31,7 @@ from triblock.contribution import (
     g_eval,
     get_spec,
 )
-from triblock.patterns import THETA6_1, cycle_graph
+from triblock.patterns import THETA6_1, THETA6_2, cycle_graph
 from triblock.plane_graph import Graph, PlaneGraph
 
 
@@ -285,6 +285,11 @@ def test_get_spec_and_bound_spec_validation():
         BoundSpec("theta6-1", 44, 17, THETA6_1)
     with pytest.raises(ValueError):
         BoundSpec("anything", 45, 17, THETA6_1)
+    # The right numbers with a wrong pattern.
+    with pytest.raises(ValueError):
+        BoundSpec("theta6-1", 45, 17, THETA6_2)
+    with pytest.raises(ValueError):
+        BoundSpec("theta6-2", 18, 7, cycle_graph(4))
 
 
 def test_g_coefficients():

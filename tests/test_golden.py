@@ -22,7 +22,7 @@ import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
-from conftest import random_thinned_triangulation
+from conftest import oracle_sweeps, random_thinned_triangulation
 from drawing import from_coordinates
 from triblock.catalog import CATALOG_LABELS, catalog_plane_graph
 from triblock.cli import main
@@ -127,3 +127,5 @@ def test_oracle_results_match_the_recorded_digests(oracle_results):
 if __name__ == "__main__":  # print the digests, to record them
     for name, digest in digests().items():
         print(f'    "{name}": "{digest}",')
+    for (n, name), result in oracle_sweeps().items():
+        print(f'    ({n}, "{name}"): "{oracle_digest(result)}",')

@@ -115,6 +115,9 @@ def test_out_of_range_neighbor_rejected():
 def test_disconnected_rejected():
     with pytest.raises(DisconnectedGraph, match="graph on 4 vertices is not connected"):
         PlaneGraph(4, [[1], [0], [3], [2]])
+    # An isolated vertex is refused as disconnected, not by Euler's formula.
+    with pytest.raises(DisconnectedGraph, match="graph on 3 vertices is not connected"):
+        PlaneGraph(3, [[1], [0], []])
 
 
 def test_disconnected_rejected_even_when_euler_holds():
