@@ -54,14 +54,40 @@ pattern-free host nonpositive.  This holds on the test corpus (the oracle
 witnesses at n = 6, 7, 8, the extremal family members, the catalog and
 the systematic graphs) for both targets.  The paper's own cluster rules
 are not recorded here, so whether this rule is one of them is open.
+
+Both targets share one decomposition and one face-share count; only the
+sign of g, and so bridge absorption, depends on alpha and beta.  Cluster
+formation is therefore split in two:
+
+* a ledger (`_ledger`), built once per decomposition: each block's e and
+  face share, the BBar groups with the anomalies they raised, and each
+  non-trivial block's sorted bridge candidates;
+* a per-target pass (`_clusters`): bridge absorption by the sign of g and
+  the `Cluster`s, after which `certify` checks the identities over the
+  clusters and the verdict.
+
+`certify` keeps the ledger of each graph in a weak-keyed table for as long
+as the graph lives, so a second target on the same graph skips the
+decomposition, the face shares and BBar, and replays the recorded
+anomalies.  A pickled copy is a new graph and starts without one.  The
+`Decomposition` itself is not kept.  On the k = 40 family member
+(n = 6 870) it holds about 6.5 MB against 0.06 MB for the ledger
+(`sys.getsizeof` over the containers), and a caller that keeps the
+previous graph alive while the next one is certified, as the benchmark's
+family-certify op does, would hold two: kept on the graph, it raised that
+op's peak RSS from 62 to 68 MB (2-core x86-64 VM, Python 3.11).
+`certify_decomposition` and `form_clusters` build a fresh ledger from the
+decomposition they are handed and never read or fill the table.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+import weakref
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .blocks import (
     Decomposition,
@@ -245,8 +271,8 @@ class Cluster:
 
     ``e_c``, ``f_c`` and ``g_c`` read as `Fraction`s but are kept as
     integer pairs (see `_Ratio`), and each may be given as a `Fraction` or
-    as a pair: `form_clusters` passes its integer ledger, so a cluster
-    holds no `Fraction` until one is read.
+    as a pair: `form_clusters` and `certify` pass integer pairs, so a
+    cluster holds no `Fraction` until one is read.
     """
 
     kind: str  # "singleton" | "bbar" | "bridged"
@@ -288,12 +314,15 @@ class Cluster:
 
 
 def _bbar_partners(
-    pg: PlaneGraph, dec: Decomposition, block: TriangularBlock
+    pg: PlaneGraph,
+    dec: Decomposition,
+    block: TriangularBlock,
+    anomalies: list[DecompositionAnomaly],
 ) -> tuple[int, ...] | None:
     """Trivial-block ids absorbed by a B5c under the BBar rule, or None.
 
-    Emits ClusterConflict/MalformedNeighborhood warnings for the anomalous
-    refusals; a plain None (some boundary face is not a 4-face) is the
+    Appends a MalformedNeighborhood to ``anomalies`` for each anomalous
+    refusal; a plain None (some boundary face is not a 4-face) is the
     ordinary singleton case.
     """
     frame = canonical_b5c_frame(pg, block)
@@ -321,21 +350,19 @@ def _bbar_partners(
         if len(pg.faces[f1]) != 4 or len(pg.faces[f2]) != 4:
             return None
         if f1 != f2:
-            warnings.warn(
+            anomalies.append(
                 MalformedNeighborhood(
                     f"block {block.id}: 4-faces across {e1} and {e2} differ"
-                ),
-                stacklevel=3,
+                )
             )
             return None
         outside_vertices = set(pg.face_vertices(f1)) - block.vertices
         if len(outside_vertices) != 1:
-            warnings.warn(
+            anomalies.append(
                 MalformedNeighborhood(
                     f"block {block.id}: face {f1} is not a quad through one "
                     "outside apex"
-                ),
-                stacklevel=3,
+                )
             )
             return None
         (apex,) = outside_vertices
@@ -348,11 +375,10 @@ def _bbar_partners(
             )
         )
         if pg.face_edges(f1) != expected:
-            warnings.warn(
+            anomalies.append(
                 MalformedNeighborhood(
                     f"block {block.id}: face {f1} lacks the forced quad shape"
-                ),
-                stacklevel=3,
+                )
             )
             return None
         apexes.append(apex)
@@ -371,12 +397,11 @@ def _bbar_partners(
     for edge in cross_edges:
         partner = dec.block_of_edge(edge)
         if not (partner.label == "B2" and partner.is_trivial):
-            warnings.warn(
+            anomalies.append(
                 MalformedNeighborhood(
                     f"block {block.id}: cross edge {edge} is not a trivial "
                     f"block (got {partner.label})"
-                ),
-                stacklevel=3,
+                )
             )
             return None
         partner_ids.append(partner.id)
@@ -396,6 +421,131 @@ def _bridges_by_face(dec: Decomposition) -> dict[int, list[int]]:
     return out
 
 
+#: A merged cluster before its target is known: (kind, sorted member block
+#: ids, e, and the face share f as num/den).
+_Unit = tuple[str, tuple[int, ...], int, int, int]
+
+
+class _Ledger(NamedTuple):
+    """The target-independent part of `form_clusters` for one
+    decomposition; only the sign of g, and so bridge absorption, depends
+    on the target.
+
+    Block i has ``e[i]`` edges and the face share ``num[i]/den[i]``.
+    ``bbar`` maps the smallest member of each BBar group to the group's
+    unit, and ``grouped`` holds every member of a BBar group.
+    ``candidates`` lists, in block order, each non-trivial block outside
+    the BBar groups with the sorted ids of the bridges on its non-interior
+    faces (only blocks with at least one).  ``anomalies`` are the findings
+    the BBar rule raised, in the order it raised them.  Per-block values
+    sit in flat lists, not one tuple per block: a caller that keeps the
+    previous graph alive while the next is certified holds two ledgers.
+    """
+
+    e: list[int]
+    num: list[int]
+    den: list[int]
+    bbar: dict[int, _Unit]
+    grouped: set[int]
+    candidates: list[tuple[int, tuple[int, ...]]]
+    anomalies: tuple[DecompositionAnomaly, ...]
+
+
+def _merge(
+    kind: str,
+    members: tuple[int, ...],
+    e: list[int],
+    num: list[int],
+    den: list[int],
+) -> _Unit:
+    """One unit for the sorted ``members``: e summed, f summed over the lcm
+    of the members' denominators."""
+    lcm = math.lcm(*(den[j] for j in members))
+    f = sum(num[j] * (lcm // den[j]) for j in members)
+    return kind, members, sum(e[j] for j in members), f, lcm
+
+
+def _ledger(pg: PlaneGraph, dec: Decomposition) -> _Ledger:
+    """Per-block e and face shares, the BBar groups (rule 1 of
+    `form_clusters`) and the bridge candidates of rule 2."""
+    e = [len(b.edges) for b in dec.blocks]
+    shares = [_face_share(pg, b) for b in dec.blocks]
+    num = [f for f, _ in shares]
+    den = [d for _, d in shares]
+    anomalies: list[DecompositionAnomaly] = []
+    bbar: dict[int, _Unit] = {}
+    grouped: set[int] = set()
+    for block in dec.blocks:
+        if block.label != "B5c":
+            continue
+        partners = _bbar_partners(pg, dec, block, anomalies)
+        if partners is None:
+            continue
+        taken = [p for p in partners if p in grouped]
+        if taken:
+            anomalies.append(
+                ClusterConflict(
+                    f"block {block.id}: trivial blocks {taken} already "
+                    f"belong to other clusters; falling back to a singleton"
+                )
+            )
+            continue
+        members = tuple(sorted((block.id, *partners)))
+        grouped.update(members)
+        bbar[members[0]] = _merge("bbar", members, e, num, den)
+
+    bridges_on_face = _bridges_by_face(dec)
+    candidates = []
+    for block in dec.blocks:
+        # A trivial block always scores g < 0, so only a larger block can
+        # be positive.
+        if block.is_trivial or block.id in grouped:
+            continue
+        bridges = sorted(
+            b
+            for fid, _ in block.outer_faces
+            for b in bridges_on_face.get(fid, ())
+            if b not in grouped
+        )
+        if bridges:
+            candidates.append((block.id, tuple(bridges)))
+    return _Ledger(e, num, den, bbar, grouped, candidates, tuple(anomalies))
+
+
+def _clusters(ledger: _Ledger, spec: BoundSpec) -> list[Cluster]:
+    """The clusters of one target: rule 2 of `form_clusters` on the
+    ledger's candidates, then every block or merged unit scored by g."""
+    alpha, delta = spec.g_coefficients()
+    e_of, num_of, den_of = ledger.e, ledger.num, ledger.den
+    # smallest member -> merged unit; every member of a merged unit
+    merged = dict(ledger.bbar)
+    absorbed = set(ledger.grouped)
+    for block_id, bridges in ledger.candidates:
+        e, num, den = e_of[block_id], num_of[block_id], den_of[block_id]
+        if alpha * num - delta * e * den <= 0:
+            continue
+        free = [b for b in bridges if b not in absorbed]
+        if not free:
+            continue
+        members = tuple(sorted((block_id, *free)))
+        absorbed.update(members)
+        merged[members[0]] = _merge("bridged", members, e_of, num_of, den_of)
+
+    # A merged cluster is emitted at its smallest member, in block order.
+    clusters: list[Cluster] = []
+    for i, (e, num, den) in enumerate(zip(e_of, num_of, den_of)):
+        if i in absorbed:
+            unit = merged.get(i)
+            if unit is None:
+                continue
+            kind, members, e, num, den = unit
+        else:
+            kind, members = "singleton", (i,)
+        g = alpha * num - delta * e * den
+        clusters.append(Cluster(kind, members, (e, 1), (num, den), (g, den)))
+    return clusters
+
+
 def form_clusters(
     pg: PlaneGraph, dec: Decomposition, spec: BoundSpec
 ) -> list[Cluster]:
@@ -412,77 +562,14 @@ def form_clusters(
        one of its non-interior faces.  Blocks are visited in id order and
        an absorbed bridge is not offered again.  See the module docstring
        for why the rule is sound and what is only checked.
+
+    Each ClusterConflict or MalformedNeighborhood met by rule 1 is issued
+    as a warning, on every call.
     """
-    alpha, delta = spec.g_coefficients()
-    e_by_block = [len(b.edges) for b in dec.blocks]
-    share_by_block = [_face_share(pg, b) for b in dec.blocks]
-
-    # absorbed block id -> absorbing block id; absorbing id -> (kind, members)
-    owner: dict[int, int] = {}
-    groups: dict[int, tuple[str, tuple[int, ...]]] = {}
-    for block in dec.blocks:
-        if block.label != "B5c":
-            continue
-        partners = _bbar_partners(pg, dec, block)
-        if partners is None:
-            continue
-        taken = [p for p in partners if p in owner]
-        if taken:
-            warnings.warn(
-                ClusterConflict(
-                    f"block {block.id}: trivial blocks {taken} already "
-                    f"belong to other clusters; falling back to a singleton"
-                ),
-                stacklevel=2,
-            )
-            continue
-        for p in partners:
-            owner[p] = block.id
-        groups[block.id] = ("bbar", (block.id,) + partners)
-
-    bridges_on_face = _bridges_by_face(dec)
-    for block in dec.blocks:
-        # A trivial block always scores g < 0, so only a larger block can
-        # be positive.
-        if block.is_trivial or block.id in groups:
-            continue
-        num, den = share_by_block[block.id]
-        if alpha * num - delta * e_by_block[block.id] * den <= 0:
-            continue
-        bridges = sorted(
-            b
-            for fid, _ in block.outer_faces
-            for b in bridges_on_face.get(fid, ())
-            if b not in owner
-        )
-        if not bridges:
-            continue
-        for b in bridges:
-            owner[b] = block.id
-        groups[block.id] = ("bridged", (block.id, *bridges))
-
-    # A merged cluster is emitted at its smallest member, in block order.
-    merged = {
-        min(members): (kind, tuple(sorted(members)))
-        for kind, members in groups.values()
-    }
-    clusters: list[Cluster] = []
-    for i, (e, (num, den)) in enumerate(zip(e_by_block, share_by_block)):
-        if i in merged:
-            kind, members = merged[i]
-            e = sum(e_by_block[j] for j in members)
-            den = math.lcm(*(share_by_block[j][1] for j in members))
-            num = sum(
-                share_by_block[j][0] * (den // share_by_block[j][1])
-                for j in members
-            )
-        elif i in owner or i in groups:
-            continue
-        else:
-            kind, members = "singleton", (i,)
-        g = alpha * num - delta * e * den
-        clusters.append(Cluster(kind, members, (e, 1), (num, den), (g, den)))
-    return clusters
+    ledger = _ledger(pg, dec)
+    for anomaly in ledger.anomalies:
+        warnings.warn(anomaly, stacklevel=2)
+    return _clusters(ledger, spec)
 
 
 @dataclass(frozen=True)
@@ -519,6 +606,20 @@ class Certificate:
         }
 
 
+#: PlaneGraph -> the `_Ledger` of its decomposition, kept by `certify`
+#: while the graph lives.  A PlaneGraph is immutable and compares by
+#: identity, so an entry never goes stale, and the ledger holds no
+#: reference back to the graph.
+_LEDGERS: weakref.WeakKeyDictionary[PlaneGraph, _Ledger] = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _require_six(pg: PlaneGraph) -> None:
+    if pg.n < 6:
+        raise TooSmall(f"certify needs n >= 6, got n={pg.n}")
+
+
 def certify(
     pg: PlaneGraph,
     spec: BoundSpec,
@@ -526,12 +627,24 @@ def certify(
 ) -> Certificate:
     """Decompose, cluster, and check the target bound exactly.
 
+    The target-independent work (the decomposition, every block's e and
+    face share, the BBar groups with the anomalies they raised, and the
+    bridge candidates) is done on the first call for a graph and kept
+    until the graph is garbage collected, so a second target on the same
+    graph only absorbs bridges by the sign of its g, builds its clusters
+    and checks the identities and the verdict.  The decomposition itself
+    is not kept.
+
     Freeness of the host is NOT verified here; pass the result of a
     separate `patterns.is_free` call as ``freeness_checked`` if you made
     one, so the certificate records it.  Raises TooSmall below 6 vertices
     and DecompositionError if an exact identity fails (always a bug).
     """
-    return certify_decomposition(pg, decompose(pg), spec, freeness_checked)
+    _require_six(pg)
+    ledger = _LEDGERS.get(pg)
+    if ledger is None:
+        ledger = _LEDGERS[pg] = _ledger(pg, decompose(pg))
+    return _certificate(pg, ledger, spec, freeness_checked)
 
 
 def certify_decomposition(
@@ -540,21 +653,20 @@ def certify_decomposition(
     spec: BoundSpec,
     freeness_checked: bool | None = None,
 ) -> Certificate:
-    """:func:`certify` for a caller that already holds ``decompose(pg)``."""
-    if pg.n < 6:
-        raise TooSmall(f"certify needs n >= 6, got n={pg.n}")
+    """:func:`certify` for a caller that already holds ``decompose(pg)``;
+    it builds the ledger from ``dec`` and neither reads nor fills the
+    table that `certify` keeps."""
+    _require_six(pg)
+    return _certificate(pg, _ledger(pg, dec), spec, freeness_checked)
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        clusters = tuple(form_clusters(pg, dec, spec))
-    anomalies = []
-    for item in caught:
-        if issubclass(item.category, DecompositionAnomaly):
-            anomalies.append(f"{item.category.__name__}: {item.message}")
-        else:  # propagate anything that isn't ours
-            warnings.warn_explicit(
-                item.message, item.category, item.filename, item.lineno
-            )
+
+def _certificate(
+    pg: PlaneGraph,
+    ledger: _Ledger,
+    spec: BoundSpec,
+    freeness_checked: bool | None,
+) -> Certificate:
+    clusters = tuple(_clusters(ledger, spec))
 
     # On the integer pairs: every e is whole, and the f numerators are
     # summed per denominator (a host repeats few face sizes), then over the
@@ -596,6 +708,8 @@ def certify_decomposition(
         all_nonpositive=all_nonpositive,
         bound_holds=bound_holds,
         violations=violations,
-        anomalies=tuple(anomalies),
+        anomalies=tuple(
+            f"{type(a).__name__}: {a}" for a in ledger.anomalies
+        ),
         freeness_checked=freeness_checked,
     )

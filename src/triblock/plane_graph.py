@@ -172,6 +172,9 @@ class PlaneGraph:
 
     Construction validates everything; instances are immutable afterwards
     and safe to share between worker processes; a pickle holds only the rows.
+    Instances compare by identity and can be weakly referenced, so a table
+    keyed by graph (``contribution.certify`` keeps one) does not keep a
+    graph alive.
     ``faces`` holds each face's dart walk; ``tail``, ``head``, ``twin`` and
     ``face`` are the per-dart arrays described in the module docstring;
     ``graph``, the abstract graph, is built from them on first read.
@@ -179,7 +182,7 @@ class PlaneGraph:
 
     __slots__ = (
         "rotation", "faces",
-        "tail", "head", "twin", "face", "_offset", "_graph",
+        "tail", "head", "twin", "face", "_offset", "_graph", "__weakref__",
     )
 
     rotation: tuple[tuple[int, ...], ...]

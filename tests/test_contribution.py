@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import gc
+import pickle
 import random
 import warnings
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -15,15 +18,18 @@ from conftest import (
     wheel_graph,
 )
 from drawing import from_coordinates
-from triblock.blocks import decompose
+import triblock.contribution as contribution
+from triblock.blocks import DecompositionError, decompose
 from triblock.catalog import catalog_plane_graph
 from triblock.contribution import (
     THETA6_1_SPEC,
     THETA6_2_SPEC,
     BoundSpec,
     DecompositionAnomaly,
+    MalformedNeighborhood,
     TooSmall,
     certify,
+    certify_decomposition,
     edge_contribution,
     face_contribution,
     form_clusters,
@@ -32,7 +38,7 @@ from triblock.contribution import (
     get_spec,
 )
 from triblock.patterns import THETA6_1, THETA6_2, cycle_graph
-from triblock.plane_graph import Graph, PlaneGraph
+from triblock.plane_graph import Graph, PlaneGraph, parse_planegraph
 
 
 def attach_polygons(
@@ -80,6 +86,19 @@ def ring(k: int, radius: float = 1.0, turn: float = 0.0) -> list[tuple[float, fl
         )
         for i in range(k)
     ]
+
+
+@pytest.fixture()
+def decompose_calls(monkeypatch: pytest.MonkeyPatch) -> list[PlaneGraph]:
+    """Every graph that `certify` decomposes while the test runs."""
+    calls: list[PlaneGraph] = []
+
+    def counting(pg: PlaneGraph):
+        calls.append(pg)
+        return decompose(pg)
+
+    monkeypatch.setattr(contribution, "decompose", counting)
+    return calls
 
 
 def main_block_g(pg: PlaneGraph, label: str, spec: BoundSpec) -> Fraction:
@@ -193,8 +212,6 @@ def test_standalone_b5c_stays_a_singleton_with_warning():
     # almost the BBar shape but with no outside apex.  That cannot happen
     # inside a certified host, so the refusal is flagged; the block stays
     # a singleton with the positive g that absorption would normally fix.
-    from triblock.contribution import MalformedNeighborhood
-
     pg = catalog_plane_graph("B5c")
     dec = decompose(pg)
     with pytest.warns(MalformedNeighborhood):
@@ -242,9 +259,10 @@ def test_certify_on_the_bbar_gadget(bbar_gadget: PlaneGraph):
     assert data["clusters"][0]["g"] == "-21/1"
 
 
-def test_certify_rejects_tiny_graphs():
-    with pytest.raises(TooSmall):
+def test_certify_rejects_tiny_graphs(decompose_calls: list[PlaneGraph]):
+    with pytest.raises(TooSmall, match=r"^certify needs n >= 6, got n=5$"):
         certify(catalog_plane_graph("B5c"), THETA6_1_SPEC)
+    assert decompose_calls == []  # refused before decomposing
 
 
 def test_certify_reports_violations_without_raising():
@@ -424,3 +442,118 @@ def test_integer_ledger_matches_the_fraction_formula(
             assert face_contribution(pg, b) == f_of[b.id]
             assert type(face_contribution(pg, b)) is Fraction
     assert kinds == {"singleton", "bbar", "bridged"}
+
+
+#: Host 80 of ``perfbench/hosts.make_hosts(3, 200)``: its one B5c (block 3)
+#: sees two 4-faces that differ, which certify reports as an anomaly.
+MALFORMED_HOST = """\
+planegraph 1
+15 31
+0: 12 13
+1: 10 6 11 5 13 4 2 8 9
+2: 1 4 10 9
+3: 12 10
+4: 2 1 13
+5: 11 6 1
+6: 13 5 11 1 10 12 7 14
+7: 12 14 6
+8: 9 1
+9: 2 1 8
+10: 13 12 3 6 1 2
+11: 1 6 5
+12: 10 0 7 6 3
+13: 6 14 0 10 4 1
+14: 7 13 6
+"""
+MALFORMED_ANOMALY = (
+    "MalformedNeighborhood: block 3: 4-faces across (6, 10) and (1, 10) differ"
+)
+
+
+def test_certify_shares_one_ledger_between_targets(
+    bbar_gadget: PlaneGraph, bbar_merged: PlaneGraph, constructed_instances
+):
+    """Either target first, each certificate (anomalies included) equals
+    the one built from a decomposition of its own."""
+    from conftest import systematic_graphs
+
+    hosts = [bbar_gadget, bbar_merged, bbar_between_unequal_faces()]
+    hosts += [embed(k5_minus_edge_with_pendant()), parse_planegraph(MALFORMED_HOST)]
+    hosts += [pg for name, pg in constructed_instances if name.startswith("extremal")]
+    hosts += [embed(g) for _, g in systematic_graphs() if g.n >= 6]
+    kinds, anomalies = set(), set()
+    for host in hosts:
+        expected = {
+            spec.name: certify_decomposition(host, decompose(host), spec)
+            for spec in (THETA6_1_SPEC, THETA6_2_SPEC)
+        }
+        for order in ((THETA6_1_SPEC, THETA6_2_SPEC), (THETA6_2_SPEC, THETA6_1_SPEC)):
+            pg = PlaneGraph(host.n, host.rotation)  # not yet seen by certify
+            for spec in order:
+                cert = certify(pg, spec)
+                assert cert.to_json_dict() == expected[spec.name].to_json_dict()
+                assert cert.anomalies == expected[spec.name].anomalies
+                kinds.update(c.kind for c in cert.clusters)
+                anomalies.update(cert.anomalies)
+    assert kinds == {"singleton", "bbar", "bridged"}
+    assert MALFORMED_ANOMALY in anomalies
+
+
+def test_certify_decomposes_once_for_both_targets(decompose_calls):
+    pg = parse_planegraph(MALFORMED_HOST)
+    for spec in (THETA6_1_SPEC, THETA6_2_SPEC, THETA6_1_SPEC):
+        assert certify(pg, spec).anomalies == (MALFORMED_ANOMALY,)
+    assert decompose_calls == [pg]
+
+
+def test_the_ledger_dies_with_its_graph():
+    pg = parse_planegraph(MALFORMED_HOST)
+    certify(pg, THETA6_1_SPEC)
+    ref = weakref.ref(pg)
+    del pg
+    gc.collect()
+    assert ref() is None
+
+
+def test_an_unpickled_graph_starts_without_a_ledger(decompose_calls):
+    pg = parse_planegraph(MALFORMED_HOST)
+    certify(pg, THETA6_1_SPEC)
+    copy = pickle.loads(pickle.dumps(pg))
+    assert certify(copy, THETA6_2_SPEC) == certify(pg, THETA6_2_SPEC)
+    assert decompose_calls == [pg, copy]
+
+
+def test_a_failed_ledger_build_caches_nothing(
+    bbar_gadget: PlaneGraph, decompose_calls, monkeypatch: pytest.MonkeyPatch
+):
+    def broken(pg, block):
+        raise DecompositionError("frame refused")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(contribution, "canonical_b5c_frame", broken)
+        with pytest.raises(DecompositionError, match="frame refused"):
+            certify(bbar_gadget, THETA6_1_SPEC)
+    cert = certify(bbar_gadget, THETA6_1_SPEC)
+    assert [c.kind for c in cert.clusters] == ["bbar"]
+    assert decompose_calls == [bbar_gadget, bbar_gadget]
+
+
+def test_form_clusters_warns_on_every_call():
+    pg = parse_planegraph(MALFORMED_HOST)
+    certify(pg, THETA6_1_SPEC)
+    dec = decompose(pg)
+    for spec in (THETA6_1_SPEC, THETA6_1_SPEC, THETA6_2_SPEC):
+        with pytest.warns(MalformedNeighborhood) as caught:
+            form_clusters(pg, dec, spec)
+        assert [f"MalformedNeighborhood: {w.message}" for w in caught] == [
+            MALFORMED_ANOMALY
+        ]
+
+
+def test_certify_decomposition_refuses_another_graphs_blocks(decompose_calls):
+    pg = embed(wheel_graph(7))
+    with pytest.raises(DecompositionError, match="identities failed"):
+        certify_decomposition(pg, decompose(embed(wheel_graph(6))), THETA6_1_SPEC)
+    assert decompose_calls == []  # it neither read nor filled the cache
+    assert certify(pg, THETA6_1_SPEC).identities_ok
+    assert decompose_calls == [pg]
