@@ -126,18 +126,6 @@ class TriangularBlock:
     def is_trivial(self) -> bool:
         return not self.interior_faces
 
-    def induced_subgraph(self) -> tuple[Graph, tuple[int, ...]]:
-        """The block's edge-induced subgraph relabeled to 0..k-1, plus the
-        sorted original vertex ids (index i holds the original of i)."""
-        originals = tuple(sorted(self.vertices))
-        index = {v: i for i, v in enumerate(originals)}
-        # index is increasing, so each relabeled pair stays sorted.
-        relabeled = Graph(
-            len(originals),
-            frozenset((index[u], index[v]) for u, v in self.edges),
-        )
-        return relabeled, originals
-
     def degree_in_block(self) -> dict[int, int]:
         """Vertex degrees counting block edges only."""
         return dict(_block_degrees(self.edges))

@@ -120,16 +120,6 @@ def _theta_names(name: str) -> tuple[int, Iterable[tuple[str, int]]]:
     )
 
 
-def resolve_patterns(name: str) -> list[tuple[str, Graph]]:
-    """Map a CLI pattern name to labeled pattern graphs.
-
-    Accepts ``theta6-1``, ``theta6-2``, ``theta:<k>:<d>``, and
-    ``theta-family:<k>`` (the last expands to every chord distance).
-    """
-    k, named = _theta_names(name)
-    return [(label, theta_pattern(k, d)) for label, d in named]
-
-
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()

@@ -1,19 +1,21 @@
 """Extremal constructions: ring gadgets, nested gluing, block substitution.
 
-Two 4-regular planar gadgets (every edge on exactly one triangle and one
-pentagon, no 4-cycles) are laid out on concentric rings.  Copies nest
-inside one another, glued along matching pentagonal rings; gluing k+1
-copies of the first gadget alternating with k copies of the second yields
-a skeleton with 70k + 30 vertices and 150k + 60 edges.  Planting two extra
-vertices inside every triangle face turns each triangle into a 9-edge
+The gadgets A and B are ring tables: rings of vertices at whole-degree
+angles, innermost first, and the edges between them.  `_build_chain` lays
+copies on consecutive ring levels, each copy's innermost ring taking the
+places of the previous copy's outermost ring: sharing places is the gluing.
+A lone gadget, `_build_chain("a")` or `_build_chain("b")`, is 4-regular and
+its innermost and outermost rings bound pentagonal faces.  k+1 copies of A
+alternating with k copies of B make a skeleton with 70k + 30 vertices,
+150k + 60 edges, no 4-cycles, and every edge on one triangle and one
+pentagon.  Planting two vertices in each triangle face makes it a 9-edge
 block on 5 vertices whose contribution is exactly zero, so the final graph
 meets m = (45/17)(n - 2) with equality: 170k + 70 vertices and 450k + 180
 edges, free of the long-chord theta pattern.
 
-Everything is combinatorial and integer-valued: a ring vertex is a ring
-level and an angle in whole degrees, its rotation row follows from those
-alone, and planting splices rotation rows.  Every structural claim above
-is re-validated at build time (`GluingMismatch` on any failure).
+Everything is integer-valued: a rotation row follows from the places
+alone, and planting splices rows.  Every structural claim above is
+re-validated at build time (`GluingMismatch` on any failure).
 """
 
 from __future__ import annotations
@@ -23,15 +25,12 @@ from dataclasses import dataclass
 from .blocks import decompose
 from .contribution import Certificate, THETA6_1_SPEC, certify_decomposition
 from .patterns import THETA6_1, contains_subgraph, cycle_graph, is_free
-from .plane_graph import Edge, PlaneGraph, normalize_edge
+from .plane_graph import PlaneGraph
 
 __all__ = [
-    "Gadget",
     "GluingMismatch",
     "ExtremalReport",
     "build_skeleton",
-    "gadget_a",
-    "gadget_b",
     "substitute_b5a",
     "verify_extremal",
 ]
@@ -42,10 +41,9 @@ class GluingMismatch(RuntimeError):
     ring layout, broken gluing, or a failed invariant re-check)."""
 
 
-# Ring tables: name -> (vertex count, angle offset, angle step), rings
-# listed from the innermost outwards.  Vertex j of a ring sits at angle
-# offset + step*j in integer degrees, increasing clockwise; only the cyclic
-# order these angles induce matters, never a drawing.
+# Ring tables: name -> (vertex count, angle offset, angle step).  Vertex j
+# sits at angle offset + step*j in whole degrees, increasing clockwise;
+# only the cyclic order these angles induce matters, never a drawing.
 
 _RINGS_A: dict[str, tuple[int, int, int]] = {
     "I": (5, 0, 72),
@@ -67,7 +65,7 @@ _RINGS_B: dict[str, tuple[int, int, int]] = {
 RingVertex = tuple[str, int]
 
 
-def _gadget_a_edges() -> list[tuple[RingVertex, RingVertex]]:
+def _edges_a() -> list[tuple[RingVertex, RingVertex]]:
     edges: list[tuple[RingVertex, RingVertex]] = []
     for a in range(5):
         edges.append((("I", a), ("I", (a + 1) % 5)))
@@ -85,7 +83,7 @@ def _gadget_a_edges() -> list[tuple[RingVertex, RingVertex]]:
     return edges
 
 
-def _gadget_b_edges() -> list[tuple[RingVertex, RingVertex]]:
+def _edges_b() -> list[tuple[RingVertex, RingVertex]]:
     edges: list[tuple[RingVertex, RingVertex]] = []
     for a in range(5):
         edges.append((("P", a), ("P", (a + 1) % 5)))
@@ -110,115 +108,6 @@ def _gadget_b_edges() -> list[tuple[RingVertex, RingVertex]]:
     return edges
 
 
-@dataclass(frozen=True)
-class Gadget:
-    """One ring gadget with its two junction pentagons.
-
-    ``red_pentagon`` / ``blue_pentagon`` are vertex tuples of pentagonal
-    faces; gluing always identifies pentagons of the same colour.
-    """
-
-    plane_graph: PlaneGraph
-    red_pentagon: tuple[int, ...]
-    blue_pentagon: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        pg = self.plane_graph
-        junction: set[Edge] = set()
-        for pent in (self.red_pentagon, self.blue_pentagon):
-            ring = _pentagon_ring(pent)
-            if ring is None or not any(
-                pg.face_edges(fid) == ring for fid in range(pg.face_count)
-            ):
-                raise GluingMismatch(
-                    f"{pent} is not a pentagonal face of the gadget"
-                )
-            junction.update(ring)
-        _check_gadget_invariants(pg, frozenset(junction))
-
-
-def _pentagon_ring(pent: tuple[int, ...]) -> frozenset[Edge] | None:
-    if len(pent) != 5:
-        return None
-    return frozenset(
-        normalize_edge(pent[i], pent[(i + 1) % 5]) for i in range(5)
-    )
-
-
-def _check_gadget_invariants(
-    pg: PlaneGraph, junction_edges: frozenset[Edge]
-) -> None:
-    """4-regular, no 4-cycles, and every edge off the marked pentagons on
-    one 3-face and one 5-face.
-
-    The marked pentagon edges themselves may instead sit between two
-    pentagons: their triangle arrives only when another gadget is glued
-    onto that ring and the pentagon stops being a face.
-    """
-    if any(len(row) != 4 for row in pg.rotation):
-        raise GluingMismatch("gadget is not 4-regular")
-    _check_edge_face_types(pg, exempt=junction_edges)
-    if contains_subgraph(pg, cycle_graph(4)) is not None:
-        raise GluingMismatch("gadget contains a 4-cycle")
-
-
-def _check_edge_face_types(
-    pg: PlaneGraph, exempt: frozenset[Edge] = frozenset()
-) -> None:
-    for fid, walk in enumerate(pg.faces):
-        if len(walk) not in (3, 5):
-            raise GluingMismatch(
-                f"face {fid} has {len(walk)} darts, expected 3 or 5"
-            )
-    for edge in sorted(e for e in zip(pg.tail, pg.head) if e[0] < e[1]):
-        a, b = pg.faces_of_edge(edge)
-        lengths = sorted((len(pg.faces[a]), len(pg.faces[b])))
-        if lengths == [3, 5]:
-            continue
-        if lengths == [5, 5] and edge in exempt:
-            continue
-        raise GluingMismatch(
-            f"edge {edge} lies on faces of lengths {lengths}, "
-            "expected one triangle and one pentagon"
-        )
-
-
-def _lone_gadget(
-    kind: str, counts: tuple[int, int, int]
-) -> tuple[PlaneGraph, tuple[int, ...], tuple[int, ...]]:
-    """One copy of gadget ``kind`` with its innermost and outermost rings."""
-    pg, places = _build_chain(kind)
-    if (pg.n, pg.m, pg.face_count) != counts:
-        raise GluingMismatch(
-            f"gadget {kind.upper()} counts {(pg.n, pg.m, pg.face_count)}, "
-            f"expected {counts}"
-        )
-    inner, outer = (
-        tuple(v for v, (level, _) in enumerate(places) if level == end)
-        for end in (0, places[-1][0])
-    )
-    return pg, inner, outer
-
-
-def gadget_a() -> Gadget:
-    """The 30-vertex gadget: 20 triangles and 12 pentagons.
-
-    Blue pentagon: the innermost ring (an inner face); red: the outermost
-    (boundary of the outer face).
-    """
-    pg, inner, outer = _lone_gadget("a", (30, 60, 32))
-    return Gadget(pg, red_pentagon=outer, blue_pentagon=inner)
-
-
-def gadget_b() -> Gadget:
-    """The 50-vertex gadget: 30 triangles and 22 pentagons.
-
-    Red pentagon: the innermost ring; blue: the outermost.
-    """
-    pg, inner, outer = _lone_gadget("b", (50, 100, 52))
-    return Gadget(pg, red_pentagon=inner, blue_pentagon=outer)
-
-
 Place = tuple[int, int]  # (global ring level, angle in [0, 360))
 
 
@@ -234,9 +123,9 @@ def _build_chain(kinds: str) -> tuple[PlaneGraph, list[Place]]:
     level = 0
     for kind in kinds:
         if kind == "a":
-            rings, pairs = _RINGS_A, _gadget_a_edges()
+            rings, pairs = _RINGS_A, _edges_a()
         else:
-            rings, pairs = _RINGS_B, _gadget_b_edges()
+            rings, pairs = _RINGS_B, _edges_b()
         place: dict[RingVertex, Place] = {}
         for level, (name, (count, offset, step)) in enumerate(
             rings.items(), start=level
@@ -299,6 +188,26 @@ def _validate_skeleton(pg: PlaneGraph, k: int) -> None:
     _check_edge_face_types(pg)
     if contains_subgraph(pg, cycle_graph(4)) is not None:
         raise GluingMismatch(f"skeleton k={k} contains a 4-cycle")
+
+
+def _check_edge_face_types(pg: PlaneGraph) -> None:
+    """Every face a triangle or a pentagon, and every edge on one of each."""
+    size = [len(walk) for walk in pg.faces]
+    for fid, length in enumerate(size):
+        if length not in (3, 5):
+            raise GluingMismatch(
+                f"face {fid} has {length} darts, expected 3 or 5"
+            )
+    face = pg.face
+    # Darts are numbered in row order, so the smaller dart of each pair
+    # runs from the smaller end and names the edge as a sorted pair.
+    for d, t in enumerate(pg.twin):
+        if d < t and size[face[d]] == size[face[t]]:
+            raise GluingMismatch(
+                f"edge {(pg.tail[d], pg.head[d])} lies on faces of lengths "
+                f"{[size[face[d]]] * 2}, expected one triangle and one "
+                "pentagon"
+            )
 
 
 def _plant(rows: list[list[int]], walk: tuple[int, int, int]) -> int:

@@ -10,7 +10,7 @@ import pytest
 
 from drawing import from_coordinates
 from triblock.catalog import CATALOG_LABELS, catalog_plane_graph
-from triblock.constructions import build_skeleton, gadget_a, gadget_b, substitute_b5a
+from triblock.constructions import _build_chain, build_skeleton, substitute_b5a
 from triblock.oracle import OracleResult, arbitrary_embedding, max_edges
 from triblock.patterns import THETA6_1, THETA6_2, theta_pattern
 from triblock.plane_graph import Graph, PlaneGraph, normalize_edge
@@ -218,8 +218,8 @@ def oracle_results() -> dict[tuple[int, str], OracleResult]:
 @pytest.fixture(scope="session")
 def constructed_instances() -> list[tuple[str, PlaneGraph]]:
     out = [
-        ("gadget-a", gadget_a().plane_graph),
-        ("gadget-b", gadget_b().plane_graph),
+        ("gadget-a", _build_chain("a")[0]),
+        ("gadget-b", _build_chain("b")[0]),
     ]
     for k in (0, 1, 2):
         skeleton = build_skeleton(k)

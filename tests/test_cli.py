@@ -11,7 +11,7 @@ import pytest
 
 from conftest import antiprism_graph, embed, k5_minus_edge_with_pendant
 from triblock.catalog import catalog_plane_graph
-from triblock.cli import main, resolve_patterns
+from triblock.cli import PatternNameError, _theta_names, main
 from triblock.constructions import build_skeleton
 from triblock.plane_graph import format_planegraph, parse_planegraph
 
@@ -57,14 +57,17 @@ def test_missing_subcommand_is_a_usage_error(capsys):
 
 
 def test_resolve_patterns():
-    assert [label for label, _ in resolve_patterns("theta6-1")] == ["theta6-1"]
-    assert [label for label, _ in resolve_patterns("theta:6:3")] == ["theta:6:3"]
-    assert [label for label, _ in resolve_patterns("theta-family:6")] == [
-        "theta:6:2",
-        "theta:6:3",
-    ]
-    from triblock.cli import PatternNameError
+    def names(name):
+        k, named = _theta_names(name)
+        return k, list(named)
 
+    assert names("theta6-1") == (6, [("theta6-1", 3)])
+    assert names("theta6-2") == (6, [("theta6-2", 2)])
+    assert names("theta:6:3") == (6, [("theta:6:3", 3)])
+    assert names("theta-family:6") == (
+        6,
+        [("theta:6:2", 2), ("theta:6:3", 3)],
+    )
     for bad in (
         "theta6-3",
         "theta:3:2",
@@ -74,7 +77,7 @@ def test_resolve_patterns():
         "theta-family:3",
     ):
         with pytest.raises(PatternNameError):
-            resolve_patterns(bad)
+            _theta_names(bad)
 
 
 def test_catalog_table_and_json(capsys):

@@ -6,12 +6,11 @@ import pytest
 
 from triblock import constructions
 from triblock.constructions import (
-    Gadget,
     GluingMismatch,
+    _build_chain,
+    _check_edge_face_types,
     _plant,
     build_skeleton,
-    gadget_a,
-    gadget_b,
     substitute_b5a,
     verify_extremal,
 )
@@ -23,20 +22,38 @@ def edge_face_lengths(pg, edge):
     return sorted(len(pg.faces[f]) for f in pg.faces_of_edge(edge))
 
 
+def lone_gadget(kind):
+    """One copy of gadget ``kind`` and its two junction rings, the
+    innermost and the outermost ring level, each in cyclic order."""
+    pg, places = _build_chain(kind)
+    inner, outer = (
+        tuple(v for v, (level, _) in enumerate(places) if level == end)
+        for end in (0, places[-1][0])
+    )
+    return pg, inner, outer
+
+
+def ring_edges(ring):
+    return {
+        normalize_edge(ring[i], ring[(i + 1) % len(ring)])
+        for i in range(len(ring))
+    }
+
+
 def test_gadget_a_counts_and_regularity():
-    pg = gadget_a().plane_graph
+    pg, _, _ = lone_gadget("a")
     assert (pg.n, pg.m, pg.face_count) == (30, 60, 32)
     assert all(pg.graph.degree(v) == 4 for v in range(pg.n))
 
 
 def test_gadget_a_edge_face_types():
-    pg = gadget_a().plane_graph
+    pg, _, _ = lone_gadget("a")
     for edge in pg.graph.edges:
         assert edge_face_lengths(pg, edge) == [3, 5]
 
 
 def test_gadget_b_counts_and_regularity():
-    pg = gadget_b().plane_graph
+    pg, _, _ = lone_gadget("b")
     assert (pg.n, pg.m, pg.face_count) == (50, 100, 52)
     assert all(pg.graph.degree(v) == 4 for v in range(pg.n))
 
@@ -45,14 +62,8 @@ def test_gadget_b_edge_face_types():
     # The two junction pentagons are bounded by pentagon rings on both
     # sides while the gadget stands alone; every other edge shows the
     # one-triangle-one-pentagon pattern that survives gluing.
-    g = gadget_b()
-    pg = g.plane_graph
-    junction = set()
-    for pent in (g.red_pentagon, g.blue_pentagon):
-        ring = list(pent)
-        junction.update(
-            normalize_edge(ring[i], ring[(i + 1) % 5]) for i in range(5)
-        )
+    pg, inner, outer = lone_gadget("b")
+    junction = ring_edges(inner) | ring_edges(outer)
     assert len(junction) == 10
     for edge in pg.graph.edges:
         expected = [5, 5] if edge in junction else [3, 5]
@@ -61,29 +72,40 @@ def test_gadget_b_edge_face_types():
 
 def test_gadgets_have_no_four_cycles():
     c4 = cycle_graph(4)
-    assert is_free(gadget_a().plane_graph, c4)
-    assert is_free(gadget_b().plane_graph, c4)
+    assert is_free(lone_gadget("a")[0], c4)
+    assert is_free(lone_gadget("b")[0], c4)
 
 
 def test_gadget_pentagons_are_faces():
-    for g in (gadget_a(), gadget_b()):
-        for pent in (g.red_pentagon, g.blue_pentagon):
-            ring = frozenset(
-                normalize_edge(pent[i], pent[(i + 1) % 5]) for i in range(5)
-            )
-            pg = g.plane_graph
-            assert any(pg.face_edges(f) == ring for f in range(pg.face_count))
-        assert not set(g.red_pentagon) & set(g.blue_pentagon)
+    for kind in ("a", "b"):
+        pg, inner, outer = lone_gadget(kind)
+        for ring in (inner, outer):
+            assert len(ring) == 5
+            edges = ring_edges(ring)
+            assert any(pg.face_edges(f) == edges for f in range(pg.face_count))
+        assert not set(inner) & set(outer)
 
 
-def test_gadget_rejects_fake_pentagon():
-    good = gadget_a()
-    with pytest.raises(GluingMismatch):
-        Gadget(
-            plane_graph=good.plane_graph,
-            red_pentagon=(0, 1, 2, 3, 7),
-            blue_pentagon=good.blue_pentagon,
-        )
+def test_edge_face_check_refuses_a_lone_gadget_b():
+    # Standing alone, B's junction edges lie between two pentagons; only
+    # the gadgets glued on either side bring their triangles.
+    pg, inner, outer = lone_gadget("b")
+    with pytest.raises(GluingMismatch, match=re.escape(
+        "lies on faces of lengths [5, 5], expected one triangle and one "
+        "pentagon"
+    )) as refusal:
+        _check_edge_face_types(pg)
+    named = re.match(r"edge \((\d+), (\d+)\)", str(refusal.value))
+    junction = ring_edges(inner) | ring_edges(outer)
+    assert (int(named[1]), int(named[2])) in junction
+
+
+def test_edge_face_check_refuses_a_quadrilateral_face():
+    c4 = PlaneGraph(4, [[1, 3], [2, 0], [3, 1], [0, 2]])
+    with pytest.raises(GluingMismatch, match=re.escape(
+        "face 0 has 4 darts, expected 3 or 5"
+    )):
+        _check_edge_face_types(c4)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 199])
@@ -198,7 +220,7 @@ def test_skeleton_extends_the_previous_one():
     assert small.graph.edges <= large.graph.edges
     # Off the outer ring, where the next copy is glued on, the embedding
     # is untouched too: every rotation row stays exactly as it was.
-    outer = set(gadget_a().red_pentagon)
+    outer = set(lone_gadget("a")[2])
     for v in range(small.n):
         if v not in outer:
             assert large.rotation[v] == small.rotation[v], v
