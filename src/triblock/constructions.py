@@ -21,10 +21,11 @@ re-validated at build time (`GluingMismatch` on any failure).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .blocks import decompose
 from .contribution import Certificate, THETA6_1_SPEC, certify_decomposition
-from .patterns import THETA6_1, contains_subgraph, cycle_graph, is_free
+from .patterns import THETA6_1, is_free
 from .plane_graph import PlaneGraph
 
 __all__ = [
@@ -186,8 +187,27 @@ def _validate_skeleton(pg: PlaneGraph, k: int) -> None:
             f"pentagons, expected {(50 * k + 20, 30 * k + 12)}"
         )
     _check_edge_face_types(pg)
-    if contains_subgraph(pg, cycle_graph(4)) is not None:
+    if _has_four_cycle(pg.rotation):
         raise GluingMismatch(f"skeleton k={k} contains a 4-cycle")
+
+
+def _has_four_cycle(rows: Sequence[Iterable[int]]) -> bool:
+    """Whether the graph with these neighbor rows has a 4-cycle.
+
+    A 4-cycle a-v-b-w is two vertices a < b with two common neighbors v, w,
+    so it exists exactly when the paths of length two from some vertex a
+    reach some larger vertex b twice.  Each vertex needs only a set of the
+    vertices reached from it.
+    """
+    for a, row in enumerate(rows):
+        reached: set[int] = set()
+        for v in row:
+            for b in rows[v]:
+                if b > a:
+                    if b in reached:
+                        return True
+                    reached.add(b)
+    return False
 
 
 def _check_edge_face_types(pg: PlaneGraph) -> None:

@@ -165,6 +165,17 @@ def random_thinned_triangulation(
     return rows
 
 
+def graph_atlas() -> list[Graph]:
+    """Every graph on at most 7 vertices, one per isomorphism class (the
+    1 253 graphs of networkx's graph atlas)."""
+    import networkx as nx
+
+    return [
+        Graph.from_edges(g.number_of_nodes(), g.edges())
+        for g in nx.graph_atlas_g()
+    ]
+
+
 def systematic_graphs() -> list[tuple[str, Graph]]:
     out: list[tuple[str, Graph]] = []
     for k in range(3, 20):

@@ -4,17 +4,19 @@ import re
 
 import pytest
 
+from conftest import graph_atlas
 from triblock import constructions
 from triblock.constructions import (
     GluingMismatch,
     _build_chain,
     _check_edge_face_types,
+    _has_four_cycle,
     _plant,
     build_skeleton,
     substitute_b5a,
     verify_extremal,
 )
-from triblock.patterns import THETA6_2, cycle_graph, is_free
+from triblock.patterns import THETA6_2, contains_subgraph, cycle_graph, is_free
 from triblock.plane_graph import PlaneGraph, normalize_edge
 
 
@@ -127,6 +129,41 @@ def test_skeleton_edge_face_types_are_strict():
 
 def test_skeleton_is_c4_free():
     assert is_free(build_skeleton(1), cycle_graph(4))
+
+
+def test_four_cycle_check_agrees_with_the_search_on_the_graph_atlas():
+    c4 = cycle_graph(4)
+    verdicts = set()
+    for g in graph_atlas():
+        found = _has_four_cycle(g.adjacency())
+        assert found == (contains_subgraph(g, c4) is not None), sorted(g.edges)
+        verdicts.add(found)
+    assert verdicts == {True, False}
+
+
+def test_skeleton_check_refuses_a_four_cycle(monkeypatch):
+    # Move the edge 0-8 of the k = 0 skeleton to the chord 1-7 of the
+    # hexagon that deleting it leaves: the counts of vertices, edges,
+    # triangles and pentagons stay, and 0-1-7-4 is a 4-cycle.  Some edges
+    # now lie on two faces of one size, so the face-type check refuses the
+    # graph first; with that check off, the 4-cycle check must refuse it.
+    rows = [list(row) for row in build_skeleton(0).rotation]
+    assert (rows[0], rows[1], rows[7], rows[8]) == (
+        [8, 7, 4, 1], [9, 8, 0, 2], [17, 16, 4, 0], [19, 18, 0, 1]
+    )
+    rows[0].remove(8)
+    rows[8].remove(0)
+    rows[1].insert(2, 7)
+    rows[7].insert(4, 1)
+    doctored = PlaneGraph(30, rows)
+    assert contains_subgraph(doctored, cycle_graph(4)) is not None
+    with pytest.raises(GluingMismatch, match="expected one triangle"):
+        constructions._validate_skeleton(doctored, 0)
+    monkeypatch.setattr(
+        constructions, "_check_edge_face_types", lambda pg: None
+    )
+    with pytest.raises(GluingMismatch, match="k=0 contains a 4-cycle"):
+        constructions._validate_skeleton(doctored, 0)
 
 
 def test_skeleton_rejects_negative_k():

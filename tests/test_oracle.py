@@ -14,6 +14,7 @@ from conftest import (
     KNOWN_LEVEL_SIZES,
     KNOWN_MAX_EDGES,
     PATTERNS,
+    graph_atlas,
     systematic_graphs,
 )
 from triblock import oracle
@@ -59,17 +60,6 @@ def test_planarity_of_the_standard_examples():
     assert is_planar(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2)]))
 
 
-def _atlas() -> list[Graph]:
-    """Every graph on at most 7 vertices, one per isomorphism class (the
-    1 253 graphs of networkx's graph atlas)."""
-    import networkx as nx
-
-    return [
-        Graph.from_edges(g.number_of_nodes(), g.edges())
-        for g in nx.graph_atlas_g()
-    ]
-
-
 def _kuratowski_variants() -> list[Graph]:
     """K5 and K3,3 with one edge subdivided, with a pendant edge, and with
     isolated vertices added: all non-planar."""
@@ -99,7 +89,7 @@ def _networkx_planar(g: Graph) -> bool:
 
 
 def test_is_planar_agrees_with_networkx(monkeypatch):
-    graphs = _atlas() + [K5, K33] + _kuratowski_variants()
+    graphs = graph_atlas() + [K5, K33] + _kuratowski_variants()
     assert len(graphs) == 1253 + 2 + 6
     verdicts = {g: _networkx_planar(g) for g in graphs}
     assert [verdicts[g] for g in _kuratowski_variants()] == [False] * 6
@@ -129,6 +119,11 @@ def test_is_planar_agrees_with_networkx(monkeypatch):
         raise AssertionError(f"networkx called on {sorted(g.edges)}")
 
     monkeypatch.setattr(oracle, "_check_planarity", refuse)
+    # The edge bounds on the 2-core refuse K5 and K3,3, alone, with a
+    # pendant edge and with isolated vertices.
+    variants = _kuratowski_variants()
+    for g in (K5, K33, variants[1], variants[2], variants[4], variants[5]):
+        assert not is_planar(g), sorted(g.edges)
     decided = 0
     for g in graphs:
         degrees = g.degree_sequence()
@@ -138,9 +133,19 @@ def test_is_planar_agrees_with_networkx(monkeypatch):
     assert 0 < decided < len(graphs)
 
 
+def test_two_core_matches_networkx_on_the_graph_atlas():
+    import networkx as nx
+
+    for g in graph_atlas():
+        core = oracle._two_core(oracle._edge_rows(g.n, g.edges))
+        expected = set(nx.k_core(_networkx_graph(g), 2))
+        assert {v for v in range(g.n) if core >> v & 1} == expected, g.edges
+
+
 def test_networkx_decides_few_of_the_sweeps_planarity_calls(monkeypatch):
-    # At n = 7, theta6-2, the degree count settles 407 of the 424 calls
-    # (one per kept representative, and one per witness in the self-audit).
+    # At n = 7, theta6-2, the bounds and the degree count on the 2-core
+    # settle 417 of the 423 calls (one per kept representative, and one per
+    # witness in the self-audit).
     calls = {"is_planar": 0, "networkx": 0}
     planar, check = oracle.is_planar, oracle._check_planarity
 
@@ -156,14 +161,14 @@ def test_networkx_decides_few_of_the_sweeps_planarity_calls(monkeypatch):
     monkeypatch.setattr(oracle, "_check_planarity", counting_check)
     result = max_edges(7, THETA6_2, pattern_name="theta6-2", jobs=1)
     assert result.level_sizes == KNOWN_LEVEL_SIZES[7, "theta6-2"][0]
-    assert calls == {"is_planar": 424, "networkx": 17}
+    assert calls == {"is_planar": 423, "networkx": 6}
 
 
 def test_level_sizes_match_a_count_over_the_graph_atlas():
     # The sweep's level sizes at n = 6 and 7, without the sweep: the atlas
     # graphs on exactly n vertices that networkx finds planar and that
     # contain no copy of the pattern, counted by edge count.
-    atlas = [g for g in _atlas() if g.n in (6, 7) and _networkx_planar(g)]
+    atlas = [g for g in graph_atlas() if g.n in (6, 7) and _networkx_planar(g)]
     for (n, name), (level_sizes, _) in KNOWN_LEVEL_SIZES.items():
         if n not in (6, 7):
             continue
@@ -226,14 +231,23 @@ def n6_expansions() -> list[tuple]:
     return expanded
 
 
+def _adjacency_key(adj, x: int, y: int) -> tuple[int, int, int]:
+    """The edge key `_expand` ranks by, from adjacency sets: the larger and
+    the smaller degree of the ends, and their common neighbors."""
+    low, high = sorted((len(adj[x]), len(adj[y])))
+    return (high, low, len(adj[x] & adj[y]))
+
+
 def test_row_expansion_matches_the_public_route(n6_expansions):
     # Every parent the n = 6 sweeps expand, expanded again through the
-    # public route: one Graph per child and an anchored containment call.
-    # The row route keeps exactly the survivors whose edge is the least of
-    # its orbit under the parent's twin swaps; every other survivor is
-    # isomorphic to the kept child of its orbit's least edge.
+    # public route: one Graph per child, the edge keys read off its
+    # adjacency sets, and an anchored containment call.  A survivor grows
+    # through a largest edge and is free.  The row route keeps exactly the
+    # survivors whose edge is the least of its orbit under the parent's
+    # twin swaps; every other survivor is isomorphic to the kept child of
+    # its orbit's least edge.
     n = 6
-    skipped = 0
+    skipped = outranked = 0
     for parent, patterns, result in n6_expansions:
         present = set(parent)
         survivors = {}
@@ -242,6 +256,11 @@ def test_row_expansion_matches_the_public_route(n6_expansions):
                 if (u, v) in present:
                     continue
                 child = Graph.from_edges(n, present | {(u, v)})
+                adj = child.adjacency()
+                key = _adjacency_key(adj, u, v)
+                if any(_adjacency_key(adj, x, y) > key for x, y in present):
+                    outranked += 1
+                    continue
                 if all(
                     contains_subgraph_using_edge(child, p, (u, v)) is None
                     for p in patterns
@@ -256,14 +275,74 @@ def test_row_expansion_matches_the_public_route(n6_expansions):
                 skipped += 1
                 twin = Graph.from_edges(n, survivors[leader[edge]])
                 assert isomorphic(Graph.from_edges(n, child), twin), (parent, edge)
-    assert skipped > 0
+    assert skipped > 0 and outranked > 0
+
+
+def test_edge_key_is_a_relabeling_invariant_on_the_graph_atlas():
+    # On every graph with 3 to 7 vertices, under a random relabeling: the
+    # key of an edge is the key of its image, and the row-level key is the
+    # one read off the adjacency sets.
+    rng = random.Random(23)
+    graphs = [g for g in graph_atlas() if g.n >= 3]
+    assert len(graphs) == 1249
+    keys = set()
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        image = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        rows = oracle._edge_rows(g.n, g.edges)
+        image_rows = oracle._edge_rows(g.n, image.edges)
+        adj = g.adjacency()
+        for x, y in g.edges:
+            key = oracle._edge_key(rows, x, y)
+            assert key == _adjacency_key(adj, x, y), (sorted(g.edges), x, y)
+            assert oracle._edge_key(image_rows, perm[x], perm[y]) == key
+            assert oracle._edge_key(rows, y, x) == key
+            keys.add(key)
+    assert len(keys) == 34
+
+
+def test_expand_drops_a_child_grown_through_a_smaller_edge(monkeypatch):
+    # The path 0-1-2, with vertices 3 and 4 isolated.  Adding 3-4 gives the
+    # new edge the key (1, 1, 0), below the key (2, 1, 0) of the parent
+    # edge 0-1, so that child is dropped although it is free; closing the
+    # triangle 0-1-2 gives every edge the key (2, 2, 1), and is kept.
+    parent = ((0, 1), (1, 2))
+    rows = oracle._edge_rows(5, (*parent, (3, 4)))
+    assert oracle._edge_key(rows, 3, 4) == (1, 1, 0)
+    assert oracle._edge_key(rows, 0, 1) == (2, 1, 0)
+    assert (3, 4) in oracle._orbit_leaders(oracle._edge_rows(5, parent))
+    through_3_4 = ((0, 1), (1, 2), (3, 4))
+    triangle = ((0, 1), (0, 2), (1, 2))
+    children = oracle._expand(parent, 5, (THETA6_2,))
+    assert triangle in children and through_3_4 not in children
+    # With every key equal the same child is kept: the key alone dropped it.
+    monkeypatch.setattr(oracle, "_edge_key", lambda rows, x, y: 0)
+    assert through_3_4 in oracle._expand(parent, 5, (THETA6_2,))
+
+
+def test_few_children_reach_the_deduplication(monkeypatch):
+    # At n = 7, theta6-2, growing each class only through a largest edge
+    # leaves 580 children for the deduplication, against 2 317 when every
+    # free child of every twin orbit leader went there.
+    received: list[int] = []
+    dedup = oracle._dedup_level
+
+    def counting_dedup(n: int, children):
+        received.append(len(children))
+        return dedup(n, children)
+
+    monkeypatch.setattr(oracle, "_dedup_level", counting_dedup)
+    result = max_edges(7, THETA6_2, pattern_name="theta6-2", jobs=1)
+    assert result.level_sizes == KNOWN_LEVEL_SIZES[7, "theta6-2"][0]
+    assert sum(received) == 580
 
 
 def test_twin_orbits_are_exact_on_the_graph_atlas():
     # On every graph with 3 to 7 vertices: the twin classes are exactly the
     # classes of label swaps that are automorphisms, and each orbit of
     # absent edges under those swaps holds exactly one orbit leader.
-    graphs = [g for g in _atlas() if g.n >= 3]
+    graphs = [g for g in graph_atlas() if g.n >= 3]
     assert len(graphs) == 1249
     merged = 0
     for g in graphs:
