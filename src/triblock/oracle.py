@@ -15,13 +15,16 @@ parent order, deduplicated from a sorted list by invariant buckets plus
 exact isomorphism tests, and the final witnesses are canonically
 relabeled.  One worker pool serves the whole sweep.
 
-The sweep holds a graph as rows, each vertex's neighbors as an integer
-bitmask.  A parent's rows are built once; each child is its parent's rows
-with the two bits of the new edge set while it is tested, and its edge
-tuple is built only if it survives.  The deduplication's invariant key
-(degrees by `int.bit_count`, sorted neighbor degrees, triangles as
-popcounts of row intersections) and its isomorphism tests read the rows
-too, through the containment kernel's row-level helpers in `patterns`.
+Freeness and isomorphism are asked through the public calls of
+`patterns`, `contains_subgraph_using_edge` and `isomorphic`, on `Graph`s;
+how the kernel plans and runs a search stays inside that module.  The
+sweep's own cheap tests read rows, each vertex's neighbors as an integer
+bitmask: a parent's rows are built once, and each child is its parent's
+rows with the two bits of the new edge set while its twin orbit and edge
+key are read.  A child's `Graph` is built only once it passes the edge
+key.  The deduplication's invariant key (degrees by `int.bit_count`,
+sorted neighbor degrees, triangles as popcounts of row intersections) and
+the planarity test's 2-core read rows too.
 
 A parent is extended once per orbit of its absent edges under its twin
 swaps (two vertices are twins when their rows agree outside the pair),
@@ -88,13 +91,10 @@ from multiprocessing import Pool
 from typing import Iterable
 
 from .patterns import (
-    _Plan,
-    _find_anchored,
-    _find_embedding,
-    _plan,
-    _prepare,
+    contains_subgraph_using_edge,
     is_free,
     is_free_of_all,
+    isomorphic,
 )
 from .plane_graph import (
     Edge,
@@ -275,7 +275,7 @@ def _edge_key(rows: list[int], x: int, y: int) -> tuple[int, int, int]:
 
 def _expand(
     parent_edges: tuple[Edge, ...], n: int, patterns: tuple[Graph, ...]
-) -> list[tuple[Edge, ...]]:
+) -> list[Graph]:
     """The one-edge extensions of the parent, one per orbit of absent
     edges under its twin swaps, that grow through their largest edge and
     stay free and within the planar edge bound m <= 3n - 6.  `explored`
@@ -303,7 +303,8 @@ def _expand(
 
     A child is kept only if no edge of the parent has a larger
     `_edge_key` in the child than the new edge (u, v); this is checked
-    first, since it is far cheaper than the anchored search.  It loses no
+    first, on the rows, since it is far cheaper than the anchored search,
+    and only a child that passes it is built as a `Graph`.  It loses no
     class.  Let C be a free planar graph on m + 1 edges and e an edge of C
     with the largest key.  C - e is free and planar, so the previous level
     holds a representative P of its class, with an isomorphism f from
@@ -316,8 +317,8 @@ def _expand(
     one parent or several; the deduplication removes them as before.
 
     The parent is known free, so any new pattern copy must use the added
-    edge; freeness is checked anchored on it, on the parent's rows with
-    the edge's two bits set.  The planarity test runs later, on the
+    edge; freeness is checked by `contains_subgraph_using_edge` anchored on
+    it, for each pattern that fits.  The planarity test runs later, on the
     isomorphism-class representatives only: it is a class invariant, so
     testing the first member of a class decides them all (see the module
     docstring).
@@ -325,47 +326,45 @@ def _expand(
     m = len(parent_edges)
     if n >= 3 and m + 1 > 3 * n - 6:
         return []
-    anchored = [
-        _prepare(p.adjacency()).anchored
-        for p in patterns
-        if p.n <= n and p.m <= m + 1
-    ]
+    fitting = [p for p in patterns if p.n <= n and p.m <= m + 1]
     rows = _edge_rows(n, parent_edges)
-    survivors: list[tuple[Edge, ...]] = []
+    survivors: list[Graph] = []
     for u, v in _orbit_leaders(rows):
         rows[u] ^= 1 << v
         rows[v] ^= 1 << u
         key = _edge_key(rows, u, v)
-        keep = all(
-            _edge_key(rows, x, y) <= key for x, y in parent_edges
-        ) and not any(
-            _find_anchored(plans, rows, (u, v)) is not None
-            for plans in anchored
-        )
+        largest = all(_edge_key(rows, x, y) <= key for x, y in parent_edges)
         rows[u] ^= 1 << v
         rows[v] ^= 1 << u
-        if keep:
-            survivors.append(tuple(sorted((*parent_edges, (u, v)))))
+        if not largest:
+            continue
+        child = Graph(n, frozenset((*parent_edges, (u, v))))
+        if all(
+            contains_subgraph_using_edge(child, p, (u, v)) is None
+            for p in fitting
+        ):
+            survivors.append(child)
     return survivors
 
 
-def _dedup_level(n: int, children: list[tuple[Edge, ...]]) -> list[Graph]:
-    """The first child of each isomorphism class, in sorted order.
+def _dedup_level(n: int, children: list[Graph]) -> list[Graph]:
+    """The first child of each isomorphism class, in sorted edge-tuple
+    order.
 
-    Children are bucketed by `_invariant_key`; a newcomer is compared with
-    each representative kept in its bucket by one kernel search, the
-    representative planned once when kept and the newcomer searched on its
-    rows.  Every child has the same order and size, and the key fixes the
-    degree sequence, so a hit is an isomorphism (see `isomorphic`).
+    Children are bucketed by `_invariant_key`, read off their rows; a
+    newcomer is kept when `isomorphic` finds it isomorphic to no
+    representative kept in its bucket.  Most buckets hold one child, so
+    nothing is prepared for a representative until a newcomer meets it.
     """
-    buckets: dict[tuple, list[_Plan]] = {}
+    by_edges = {tuple(sorted(g.edges)): g for g in children}
+    buckets: dict[tuple, list[Graph]] = {}
     reps: list[Graph] = []
-    for edges in sorted(set(children)):
+    for edges in sorted(by_edges):
+        g = by_edges[edges]
         rows = _edge_rows(n, edges)
         bucket = buckets.setdefault(_invariant_key(rows, edges), [])
-        if all(_find_embedding(plan, rows) is None for plan in bucket):
-            g = Graph.from_edges(n, edges)
-            bucket.append(_plan(g.adjacency(), ()))
+        if not any(isomorphic(rep, g) for rep in bucket):
+            bucket.append(g)
             reps.append(g)
     return reps
 

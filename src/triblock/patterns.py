@@ -50,22 +50,16 @@ may only take ball vertices greater than the root.  An anchored search
 (`contains_subgraph_using_edge`) pins each pattern arc onto the new host
 edge in turn, host-wide, but skips an arc that a pattern automorphism maps
 an earlier searched arc onto.  `_prepare` gives both restrictions, and why
-each keeps the first witness.  Each anchored plan also carries the pattern
-degrees of its two pinned vertices, and `_find_anchored` skips it without
-a search when an end of the host edge has a lower degree than the pattern
-vertex pinned on it: no copy can map a vertex onto one of lower degree.
-At n = 7 this skips about a third of the oracle's anchored plans.
+each keeps the first witness.
 
 Each pattern is prepared once (`_prepare`, a cache of at most 64
 patterns): its plan, its radius (None when disconnected), its root orbit
 and its anchored plans.  `isomorphic` builds only a plan (`_plan`, not
 cached), so the graphs it compares get no orbits computed for nothing.
 
-The public entry points take graphs; the search itself runs on rows.  The
-exhaustive oracle holds its graphs as rows already, so it calls the same
-row-level helpers directly: `_find_anchored` with a pattern's anchored
-plans, as `contains_subgraph_using_edge` does, and `_plan` with
-`_find_embedding`, as `isomorphic` does.
+The public entry points take graphs; plans and rows stay inside this
+module.  The exhaustive oracle asks its freeness and isomorphism questions
+through `contains_subgraph_using_edge` and `isomorphic`, like any caller.
 """
 
 from __future__ import annotations
@@ -209,6 +203,18 @@ def _rows(adj: Sequence[Iterable[int]]) -> list[int]:
     return [sum(1 << w for w in nbrs) for nbrs in adj]
 
 
+def _host_rows(host: Graph | PlaneGraph) -> list[int]:
+    """Whole-host rows, read off a graph's edges, so that no neighbor sets
+    are built for a graph searched once, or off a plane host's rotation."""
+    if not isinstance(host, Graph):
+        return _rows(_host_adjacency(host))
+    rows = [0] * host.n
+    for u, v in host.edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
+
+
 def _find_embedding(
     plan: _Plan,
     masks: list[int],
@@ -271,21 +277,13 @@ def _find_embedding(
     return None
 
 
-class _Anchored(NamedTuple):
-    """A plan with two pattern vertices pinned first, and their pattern
-    degrees, in pinning order."""
-
-    plan: _Plan
-    degrees: tuple[int, int]
-
-
 class _Pattern(NamedTuple):
     """Everything the searches need from one pattern; see `_prepare`."""
 
     plan: _Plan
     radius: int | None
     orbit: tuple[int, ...]
-    anchored: tuple[_Anchored, ...]
+    anchored: tuple[_Plan, ...]
 
 
 @lru_cache(maxsize=64)
@@ -317,9 +315,7 @@ def _prepare(adj: tuple[frozenset[int], ...]) -> _Pattern:
     automorphism, would be a copy anchored on the earlier arc, whose
     search came back empty.  Pinning the arc (b, a) onto (u, v) is the
     same search as pinning (a, b) onto (v, u): the greedy order after the
-    two pinned vertices depends only on which vertices are placed.  Each
-    anchored plan carries the pattern degrees of a and b, so that
-    `_find_anchored` skips it when u or v has a lower degree in the host.
+    two pinned vertices depends only on which vertices are placed.
 
     Both kinds of automorphism come from the same kernel, embedding the
     pattern into its own rows with a vertex or an arc pinned; equal order
@@ -327,13 +323,12 @@ def _prepare(adj: tuple[frozenset[int], ...]) -> _Pattern:
     """
     plan = _plan(adj, ())
     itself = _rows(adj)
-    anchored: list[_Anchored] = []
+    anchored: list[_Plan] = []
     edges = sorted((a, b) for a, nbrs in enumerate(adj) for b in nbrs if a < b)
     for a, b in edges:
         for arc in ((a, b), (b, a)):
-            if all(_find_embedding(kept.plan, itself, arc) is None for kept in anchored):
-                degrees = (len(adj[arc[0]]), len(adj[arc[1]]))
-                anchored.append(_Anchored(_plan(adj, arc), degrees))
+            if all(_find_embedding(kept, itself, arc) is None for kept in anchored):
+                anchored.append(_plan(adj, arc))
     layers = list(_layers(adj, plan.order[0])) if adj else []
     if not layers or sum(map(len, layers)) < len(adj):
         return _Pattern(plan, None, (), tuple(anchored))
@@ -394,37 +389,19 @@ def contains_subgraph_using_edge(
 
     The workhorse of incremental freeness checking: when a host known to be
     pattern-free gains one edge, any new pattern copy must use that edge.
+    Each of the pattern's anchored plans (`_prepare`) is searched in turn,
+    host-wide, with its two pinned positions on the edge's ends.
     """
-    adj = _host_adjacency(host)
+    masks = _host_rows(host)
     if pattern.n > host.n or pattern.m > host.m:
         return None
     u, v = edge
-    if not (0 <= u < host.n and v in adj[u]):
+    if not (0 <= u < host.n and 0 <= v and masks[u] >> v & 1):
         raise ValueError(f"({u}, {v}) is not a host edge")
-    anchored = _prepare(pattern.adjacency()).anchored
-    mapping = _find_anchored(anchored, _rows(adj), edge)
-    return None if mapping is None else EmbeddingWitness(mapping)
-
-
-def _find_anchored(
-    anchored: tuple[_Anchored, ...], masks: list[int], edge: tuple[int, int]
-) -> tuple[int, ...] | None:
-    """The first copy whose image uses ``edge`` in the host whose rows are
-    ``masks``: each of a pattern's anchored plans (`_prepare`) in turn,
-    with its two pinned positions on the edge's ends.
-
-    A plan that pins a pattern vertex onto an end of lower host degree is
-    skipped without a search.  This is exact: an injective edge-preserving
-    map sends a vertex's neighbors to distinct neighbors of its image, so
-    that search could find nothing."""
-    u, v = edge
-    have_u, have_v = masks[u].bit_count(), masks[v].bit_count()
-    for plan, (need_u, need_v) in anchored:
-        if need_u > have_u or need_v > have_v:
-            continue
+    for plan in _prepare(pattern.adjacency()).anchored:
         mapping = _find_embedding(plan, masks, edge)
         if mapping is not None:
-            return mapping
+            return EmbeddingWitness(mapping)
     return None
 
 
@@ -462,13 +439,11 @@ def isomorphic(g: Graph, h: Graph) -> bool:
     kernel doubles as the isomorphism decider after cheap invariant checks.
 
     ``g`` is the side planned and ``h`` the side searched, host-wide: with
-    equal order, a root ball is at best the whole graph.  The oracle's
-    deduplication makes the same kernel call on rows it builds itself,
-    with one plan per kept representative.
+    equal order, a root ball is at best the whole graph.
     """
     if g.n != h.n or g.m != h.m:
         return False
     if g.degree_sequence() != h.degree_sequence():
         return False
     plan = _plan(g.adjacency(), ())
-    return _find_embedding(plan, _rows(h.adjacency())) is not None
+    return _find_embedding(plan, _host_rows(h)) is not None

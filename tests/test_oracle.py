@@ -269,7 +269,7 @@ def test_row_expansion_matches_the_public_route(n6_expansions):
         swaps = _automorphic_swaps(n, present)
         leader = {edge: min(_swap_orbit(swaps, edge)) for edge in survivors}
         kept = [survivors[e] for e in sorted(survivors) if leader[e] == e]
-        assert result == kept, parent
+        assert [tuple(sorted(g.edges)) for g in result] == kept, parent
         for edge, child in survivors.items():
             if leader[edge] != edge:
                 skipped += 1
@@ -314,11 +314,14 @@ def test_expand_drops_a_child_grown_through_a_smaller_edge(monkeypatch):
     assert (3, 4) in oracle._orbit_leaders(oracle._edge_rows(5, parent))
     through_3_4 = ((0, 1), (1, 2), (3, 4))
     triangle = ((0, 1), (0, 2), (1, 2))
-    children = oracle._expand(parent, 5, (THETA6_2,))
-    assert triangle in children and through_3_4 not in children
+
+    def children() -> list[tuple]:
+        return [tuple(sorted(g.edges)) for g in oracle._expand(parent, 5, (THETA6_2,))]
+
+    assert triangle in children() and through_3_4 not in children()
     # With every key equal the same child is kept: the key alone dropped it.
     monkeypatch.setattr(oracle, "_edge_key", lambda rows, x, y: 0)
-    assert through_3_4 in oracle._expand(parent, 5, (THETA6_2,))
+    assert through_3_4 in children()
 
 
 def test_few_children_reach_the_deduplication(monkeypatch):
@@ -370,41 +373,6 @@ def test_twin_orbits_are_exact_on_the_graph_atlas():
     assert 0 < merged < len(graphs)
 
 
-def test_pinned_degree_skip_leaves_the_anchored_search_unchanged(
-    n6_expansions,
-):
-    # Every one-edge extension of every parent the n = 6 sweeps expand:
-    # skipping the plans whose pinned degrees cannot fit gives the mapping
-    # the plain loop over all plans gives.
-    n = 6
-    skipped = 0
-    verdicts = set()
-    for parent, patterns, _ in n6_expansions:
-        for u, v in itertools.combinations(range(n), 2):
-            if (u, v) in parent:
-                continue
-            rows = oracle._edge_rows(n, (*parent, (u, v)))
-            for pattern in patterns:
-                anchored = oracle._prepare(pattern.adjacency()).anchored
-                plain = next(
-                    (
-                        mapping
-                        for plan, _ in anchored
-                        if (mapping := oracle._find_embedding(plan, rows, (u, v)))
-                        is not None
-                    ),
-                    None,
-                )
-                assert oracle._find_anchored(anchored, rows, (u, v)) == plain
-                verdicts.add(plain is None)
-                skipped += sum(
-                    a > rows[u].bit_count() or b > rows[v].bit_count()
-                    for _, (a, b) in anchored
-                )
-    assert verdicts == {True, False}
-    assert skipped > 0
-
-
 def test_embedding_search_matches_the_library_test():
     assert planar_by_embedding_search(K5) is False
     assert planar_by_embedding_search(K33) is False
@@ -453,40 +421,36 @@ def test_planarity_is_tested_once_per_isomorphism_class(monkeypatch):
         assert len(tested) == expected, name
 
 
-def test_dedup_plans_the_kept_representative(monkeypatch):
-    # A kept representative is planned once; each newcomer is only searched,
-    # on its own rows, against the plans kept in its bucket.
+def test_dedup_compares_each_newcomer_with_its_bucket_representatives(
+    monkeypatch,
+):
+    # The 12 labeled paths and 4 labeled stars on 4 vertices fall into two
+    # buckets.  The first of each in sorted edge-tuple order is kept (the
+    # star (0, 1), (0, 2), (0, 3) comes first), and each later one is compared
+    # once, through `isomorphic`, with the representative of its bucket:
+    # 11 + 3 calls, the representative first.
     from itertools import permutations
 
-    planned: list[tuple] = []
-    searched: list[tuple] = []
-    plan_of, search = oracle._plan, oracle._find_embedding
+    compared: list[tuple[Graph, Graph]] = []
 
-    def recording_plan(adj, fixed):
-        plan = plan_of(adj, fixed)
-        planned.append((adj, plan))
-        return plan
+    def recording_isomorphic(g: Graph, h: Graph) -> bool:
+        compared.append((g, h))
+        return isomorphic(g, h)
 
-    def recording_search(plan, rows, *args):
-        searched.append((plan, list(rows)))
-        return search(plan, rows, *args)
-
-    monkeypatch.setattr(oracle, "_plan", recording_plan)
-    monkeypatch.setattr(oracle, "_find_embedding", recording_search)
+    monkeypatch.setattr(oracle, "isomorphic", recording_isomorphic)
     path, star = [(0, 1), (1, 2), (2, 3)], [(0, 1), (0, 2), (0, 3)]
     children = [
-        tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in edges))
+        Graph.from_edges(4, [(p[u], p[v]) for u, v in edges])
         for edges in (path, star)
         for p in permutations(range(4))
     ]
     reps = oracle._dedup_level(4, children)
-    assert len(reps) == 2
-    assert [adj for adj, _ in planned] == [g.adjacency() for g in reps]
-    assert len(searched) == 12 + 4 - 2
-    plans = [plan for _, plan in planned]
-    rep_rows = [oracle._edge_rows(4, g.edges) for g in reps]
-    assert all(any(plan is p for p in plans) for plan, _ in searched)
-    assert not any(rows in rep_rows for _, rows in searched)
+    assert [g.degree_sequence() for g in reps] == [(3, 1, 1, 1), (2, 2, 1, 1)]
+    assert len(compared) == 14
+    assert sum(rep is reps[1] for rep, _ in compared) == 11
+    assert all(any(rep is r for r in reps) for rep, _ in compared)
+    assert all(rep.degree_sequence() == g.degree_sequence() for rep, g in compared)
+    assert {g for _, g in compared} == set(children) - set(reps)
 
 
 def test_one_pool_serves_the_whole_sweep(monkeypatch):

@@ -102,8 +102,9 @@ def test_containment_using_edge():
     hit = contains_subgraph_using_edge(host, THETA6_1, (0, 3))
     assert hit is not None and hit.is_valid(host, THETA6_1)
     assert contains_subgraph_using_edge(host, THETA6_1, (6, 0)) is None
-    with pytest.raises(ValueError):
-        contains_subgraph_using_edge(host, THETA6_1, (1, 4))
+    for not_an_edge in ((1, 4), (0, -1), (0, 7), (7, 0), (-1, 0)):
+        with pytest.raises(ValueError):
+            contains_subgraph_using_edge(host, THETA6_1, not_an_edge)
 
 
 def copy_uses_edge(host: Graph, pattern: Graph, edge: tuple[int, int]) -> bool:
@@ -416,6 +417,7 @@ def test_pattern_needing_more_degree_than_the_host_has_is_not_found():
     ) is None
     rng = random.Random(5)
     verdicts = set()
+    anchored_verdicts = set()
     for _ in range(40):
         n = rng.randint(6, 8)
         host = Graph.from_edges(
@@ -425,4 +427,11 @@ def test_pattern_needing_more_degree_than_the_host_has_is_not_found():
         assert (witness is None) == (brute_force_contains(host, K15) is None)
         assert (witness is None) == (max(host.degree_sequence()) < 5)
         verdicts.add(witness is None)
+        # Anchored on each edge, the kernel itself must say no where the
+        # edge's ends lack the degree.
+        for edge in sorted(host.edges):
+            found = contains_subgraph_using_edge(host, K15, edge) is not None
+            assert found == copy_uses_edge(host, K15, edge), (sorted(host.edges), edge)
+            anchored_verdicts.add(found)
     assert verdicts == {True, False}
+    assert anchored_verdicts == {True, False}
