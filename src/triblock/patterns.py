@@ -17,17 +17,32 @@ position.
 pattern is connected.  Every vertex of a copy lies within distance
 r = ecc(first vertex of the plan) of the host vertex at position 0, so it
 loops over the host vertices in ascending order as roots, builds the rows
-of the radius-r ball around each root (relabeled to 0..b-1 in ascending
-order, with the induced edges), and runs the kernel on them with position
-0 pinned to the root.  A ball holds every copy rooted there, and
-relabeling keeps the order of its vertices, so the first witness is the
-one the host-wide search finds.  On a planar host of bounded degree, such
-as the extremal family, the balls have bounded size and the search takes
-time linear in n (the locality argument of Eppstein, "Subgraph
-isomorphism in planar graphs and related problems", JGAA 1999), where
-host-wide n-bit masks made a no-match search grow as n squared.
-Disconnected patterns, and `isomorphic`, whose two graphs have equal
-order, search the whole host.
+of a ball around each root (relabeled to 0..b-1 in ascending order, with
+the induced edges), and runs the kernel on them with position 0 pinned to
+the root.  A ball holds every copy rooted there, and relabeling keeps the
+order of its vertices, so the first witness is the one the host-wide
+search finds.  On a planar host of bounded degree, such as the extremal
+family, the balls have bounded size and the search takes time linear in n
+(the locality argument of Eppstein, "Subgraph isomorphism in planar graphs
+and related problems", JGAA 1999), where host-wide n-bit masks made a
+no-match search grow as n squared.  Disconnected and edgeless patterns,
+and `isomorphic`, whose two graphs have equal order, search the whole
+host.
+
+The ball is the host vertices at distance less than r from the root, plus
+those at distance exactly r that have at least ``need`` neighbors at
+distance r - 1, where ``need`` is the least number of neighbors at
+pattern distance r - 1 of a pattern vertex at pattern distance r (2 for
+theta6-1, 1 for theta6-2, which keeps the whole radius-r ball).  This
+drops no copy: a copy maps edges to edges, so a pattern vertex at pattern
+distance d lands at host distance at most d, and a host vertex at
+distance exactly r can only be the image of a pattern vertex at pattern
+distance r.  That vertex has at least ``need`` distinct neighbors at
+pattern distance r - 1, whose images are distinct host neighbors at
+distance at most r - 1, that is at exactly r - 1.  So a dropped vertex
+lies in no copy rooted at that root, and the first witness is unchanged.
+On the extremal family a theta6-1 ball holds about 7 vertices, where the
+whole radius-2 ball holds 21.
 
 Each call also remembers the balls it searched in vain, keyed by the
 root's position in the ball and the ball's rows, and does not search an
@@ -37,8 +52,8 @@ it, all in ball-local coordinates, so an equal key gives an equal answer
 and the first witness is unchanged.  A hit ends the call, so only empty
 balls are kept, and only for that call: there is no cache across calls.
 It pays on hosts built from repeated pieces: the extremal family's
-radius-2 balls take 156 shapes at every k >= 1, so a theta6-1 search of
-the k = 40 member (n = 6870) runs the kernel 156 times, not 6870.  On a
+theta6-1 balls take 21 shapes at every k >= 1, so a theta6-1 search of
+the k = 40 member (n = 6870) runs the kernel 21 times, not 6870.  On a
 randomly relabeled host the same balls no longer have equal rows, so
 every key misses and the memo only costs its keys.
 
@@ -53,9 +68,10 @@ an earlier searched arc onto.  `_prepare` gives both restrictions, and why
 each keeps the first witness.
 
 Each pattern is prepared once (`_prepare`, a cache of at most 64
-patterns): its plan, its radius (None when disconnected), its root orbit
-and its anchored plans.  `isomorphic` builds only a plan (`_plan`, not
-cached), so the graphs it compares get no orbits computed for nothing.
+patterns): its plan, its radius and ``need`` (None when it is disconnected
+or has no edge), its root orbit and its anchored plans.  `isomorphic`
+builds only a plan (`_plan`, not cached), so the graphs it compares get no
+orbits computed for nothing.
 
 The public entry points take graphs; plans and rows stay inside this
 module.  The exhaustive oracle asks its freeness and isomorphism questions
@@ -282,6 +298,7 @@ class _Pattern(NamedTuple):
 
     plan: _Plan
     radius: int | None
+    need: int | None
     orbit: tuple[int, ...]
     anchored: tuple[_Plan, ...]
 
@@ -293,12 +310,19 @@ def _prepare(adj: tuple[frozenset[int], ...]) -> _Pattern:
 
     ``plan`` is the unpinned plan.  ``radius`` is the eccentricity of its
     first vertex, so every vertex of a copy lies within that distance of
-    the host vertex at position 0; it is None for a disconnected (or
-    empty) pattern, which is searched host-wide.
+    the host vertex at position 0.  ``need`` is the least number of
+    neighbors at distance radius - 1 that a pattern vertex at distance
+    radius has (2 for theta6-1 and C4, 3 for K2,3, 1 for theta6-2 and the
+    stars).  A root ball keeps a host vertex at distance radius only when
+    it has that many neighbors one layer in: such a vertex can only be the
+    image of a pattern vertex at distance radius, whose distinct neighbors
+    one layer in land on distinct inner ball vertices (see the module
+    docstring).  Both are None for a pattern that is disconnected or has
+    no edge, which is searched host-wide.
 
     ``orbit`` holds the plan positions after 0 whose pattern vertex a
-    pattern automorphism maps the plan's first vertex onto (empty for a
-    disconnected pattern).  In the ball search they may only take ball
+    pattern automorphism maps the plan's first vertex onto (empty when
+    there is no radius).  In the ball search they may only take ball
     vertices greater than the root.  This is exact: roots are tried in
     ascending order, so when the search reaches root r every root w < r
     came back empty, and (by this same argument, from the first root on)
@@ -330,14 +354,16 @@ def _prepare(adj: tuple[frozenset[int], ...]) -> _Pattern:
             if all(_find_embedding(kept, itself, arc) is None for kept in anchored):
                 anchored.append(_plan(adj, arc))
     layers = list(_layers(adj, plan.order[0])) if adj else []
-    if not layers or sum(map(len, layers)) < len(adj):
-        return _Pattern(plan, None, (), tuple(anchored))
+    if len(layers) < 2 or sum(map(len, layers)) < len(adj):
+        return _Pattern(plan, None, None, (), tuple(anchored))
+    inner = set(layers[-2])
+    need = min(len(adj[pv] & inner) for pv in layers[-1])
     orbit = tuple(
         i
         for i, pv in enumerate(plan.order)
         if i and _find_embedding(plan, itself, (pv,)) is not None
     )
-    return _Pattern(plan, len(layers) - 1, orbit, tuple(anchored))
+    return _Pattern(plan, len(layers) - 1, need, orbit, tuple(anchored))
 
 
 def contains_subgraph(
@@ -353,17 +379,26 @@ def contains_subgraph(
     if pattern.n > host.n or pattern.m > host.m:
         return None
     pattern_adj = pattern.adjacency()
-    plan, radius, orbit, _ = _prepare(pattern_adj)
+    plan, radius, need, orbit, _ = _prepare(pattern_adj)
     if radius is None:
         mapping = _find_embedding(plan, _rows(host_adj))
         return None if mapping is None else EmbeddingWitness(mapping)
     root_degree = len(pattern_adj[plan.order[0]])
-    slot = [0] * host.n  # the bit of each vertex in the current ball, else 0
+    slot = [0] * host.n  # nonzero on the current ball: 1 while it grows, then its bit
     empty: set[tuple[int, ...]] = set()  # (root position, *rows) searched in vain
     for root in range(host.n):
         if len(host_adj[root]) < root_degree:
             continue
-        ball = sorted(chain.from_iterable(islice(_layers(host_adj, root), radius + 1)))
+        layers = list(islice(_layers(host_adj, root), radius))
+        ball = list(chain.from_iterable(layers))
+        for v in ball:
+            slot[v] = 1
+        # The outer layer, each vertex once per neighbor in the last inner
+        # layer; sorted, a run of `need` equal entries keeps a vertex.
+        reach = [w for u in layers[-1] for w in host_adj[u] if not slot[w]]
+        reach.sort()
+        ball += {w for w, x in zip(reach, reach[need - 1:]) if w == x}
+        ball.sort()
         for i, v in enumerate(ball):
             slot[v] = 1 << i
         # A sum of distinct bits is their bitwise or.

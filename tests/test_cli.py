@@ -170,6 +170,27 @@ def test_decompose_into_a_closed_pipe_exits_quietly(tmp_path):
     assert err == b""
 
 
+def test_python_m_triblock_runs_the_command():
+    # `python -m triblock` is the same command as `triblock`, with its
+    # documented exit codes.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    command = [sys.executable, "-m", "triblock", "oracle", "--n", "4", "--pattern"]
+    done = subprocess.run(
+        [*command, "theta6-1"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert "max edges: 6" in done.stdout
+    done = subprocess.run(
+        [*command, "theta9-9"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ")
+
+
 def test_certify_b6(capsys, tmp_path):
     path = write_pg(tmp_path, "b6.pg", catalog_plane_graph("B6"))
     assert main(["certify", path, "--target", "theta6-1"]) == 0

@@ -230,7 +230,7 @@ def test_ball_search_finds_the_host_wide_witness():
 
 def test_family_balls_are_searched_once_whatever_the_member(monkeypatch):
     # The family repeats one gadget, so its balls take a fixed set of
-    # shapes: the kernel runs as often at k = 3 as at k = 1.
+    # shapes: the kernel runs 21 times at k = 1 and at k = 3.
     hosts = {k: substitute_b5a(build_skeleton(k)) for k in (1, 3)}
     patterns._prepare(THETA6_1.adjacency())  # self-searches are not host searches
     kernel = patterns._find_embedding
@@ -247,7 +247,36 @@ def test_family_balls_are_searched_once_whatever_the_member(monkeypatch):
         runs = 0
         assert is_free(host, THETA6_1)
         counts[k] = runs
-    assert counts[1] == counts[3] < hosts[3].n // 3, (counts, hosts[3].n)
+    assert counts == {1: 21, 3: 21}, counts
+
+
+def test_ball_keeps_only_outer_vertices_with_enough_inner_neighbors(monkeypatch):
+    # theta6-1 rooted at a chord end: its distance-2 vertices each have two
+    # neighbors at distance 1, so the ball around host vertex 0 keeps 2 and
+    # 4 (the copy) and 7 (two inner neighbors, no copy), and drops the
+    # pendant 6, whose one inner neighbor cannot hold it in a copy.
+    host = Graph.from_edges(8, [
+        (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3),
+        (1, 6), (1, 7), (5, 7),
+    ])
+    assert patterns._prepare(THETA6_1.adjacency()).need == 2
+    kernel = patterns._find_embedding
+    handed: list[tuple[tuple[int, ...], list[int]]] = []
+
+    def recording(plan, masks, fixed_hosts=(), above=()):
+        handed.append((tuple(fixed_hosts), list(masks)))
+        return kernel(plan, masks, fixed_hosts, above)
+
+    monkeypatch.setattr(patterns, "_find_embedding", recording)
+    witness = contains_subgraph(host, THETA6_1)
+    monkeypatch.undo()
+    adj = host.adjacency()
+    ball = [0, 1, 2, 3, 4, 5, 7]
+    rows = [sum(1 << ball.index(w) for w in adj[v] if w in ball) for v in ball]
+    assert handed == [((0,), rows)]
+    assert witness is not None and witness.mapping == kernel(
+        patterns._plan(THETA6_1.adjacency(), ()), patterns._rows(adj)
+    )
 
 
 def test_connected_patterns_never_search_the_whole_host(monkeypatch):
@@ -397,6 +426,10 @@ def test_prepare_records_radius_orbit_and_anchored_plans():
     assert [prepared[name].orbit for name in ("THETA6_1", "THETA6_2", "C4", "K13")] == [
         (1,), (1,), (1, 2, 3), (),
     ]
+    assert {name: p.need for name, p in prepared.items()} == {
+        "THETA6_1": 2, "THETA6_2": 1, "C4": 2, "K13": 1, "TWO_EDGES": None,
+    }
+    assert patterns._prepare(K23.adjacency()).need == 3
     assert len(prepared["THETA6_1"].anchored) == 4
     assert len(prepared["THETA6_2"].anchored) == 7
     for name, pattern in (("THETA6_1", THETA6_1), ("THETA6_2", THETA6_2)):
