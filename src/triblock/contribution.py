@@ -12,15 +12,21 @@ clusters, and per-cluster nonpositivity of the linear form
 
 implies m <= (alpha/beta)(n - 2): summing g over all clusters gives
 beta*m - alpha*(n-2) by Euler's formula, so nonpositive summands force the
-bound.  All arithmetic is exact, on integers: a block's face share is kept
-as a numerator over the least common multiple of its outer faces' dart
-counts (`_face_share`), clusters add such pairs over the lcm of their
-denominators, the identities and the sign tests of `certify` read the
-integer pairs, and a `fractions.Fraction` is built only when a caller
-reads a value: ``Cluster.e_c``, ``f_c`` and ``g_c`` are kept as integer
-pairs and built as `Fraction`s on each read (so for a certificate's JSON
-or text, not while certifying), and the public contribution functions
-return one each.  Floating point is deliberately absent from this module.
+bound.  All arithmetic is exact, on integers, over one denominator per
+graph: L, the least common multiple of the dart counts of its faces.  A
+dart's share of a face of d darts is then the integer L // d, exact
+because d divides L, so every block's, merged unit's and cluster's f is
+a whole number num of 1/L units, e is whole, and g = alpha*f - (alpha -
+beta)*e is alpha*num - (alpha - beta)*e*L of them.  The face identity
+reads sum num = faces * L.  L is 15 on every extremal family member (3-
+and 5-faces); on the benchmark's random hosts it has a median of 9 bits
+and at most 26 (seed 1) or 29 (seeds 1-3); a polygon with chords from one
+vertex, its faces of 3..200 darts, takes L of 298 bits.  A
+`fractions.Fraction` is built only when a caller reads a value:
+``Cluster.e_c``, ``f_c`` and ``g_c`` are kept as integer pairs and built
+as `Fraction`s on each read (so for a certificate's JSON or text, not
+while certifying), and the public contribution functions return one
+each.  Floating point is deliberately absent from this module.
 
 Clusters are usually singletons.  Two rules merge blocks (`form_clusters`):
 
@@ -207,19 +213,6 @@ def edge_contribution(block: TriangularBlock) -> Fraction:
     return Fraction(len(block.edges))
 
 
-def _face_share(pg: PlaneGraph, block: TriangularBlock) -> tuple[int, int]:
-    """f_B as an integer pair (num, den): den is the lcm of the dart counts
-    of the block's outer faces (1 when it has none)."""
-    faces = pg.faces
-    num, den = len(block.interior_faces), 1
-    for fid, steps in block.outer_faces:
-        d = len(faces[fid])
-        g = math.gcd(den, d)  # num/den + steps/d over lcm(den, d)
-        num = num * (d // g) + steps * (den // g)
-        den = den // g * d
-    return num, den
-
-
 def face_contribution(pg: PlaneGraph, block: TriangularBlock) -> Fraction:
     """f_B: the block's share of each boundary walk, summed over faces.
 
@@ -230,9 +223,13 @@ def face_contribution(pg: PlaneGraph, block: TriangularBlock) -> Fraction:
     by its single face and so carries two shares there — that convention
     is what makes the per-block f values match the face-degree arithmetic
     of the bound proofs on hosts with cut edges (a triangle with a pendant
-    edge hanging into it is a 5-face, not a 4-face).  The sum is taken on
-    integers over the lcm of those d (`_face_share`) and reduced once."""
-    return Fraction(*_face_share(pg, block))
+    edge hanging into it is a 5-face, not a 4-face).  A plain `Fraction`
+    sum, independent of the ledger's integer count over the graph's L."""
+    faces = pg.faces
+    return sum(
+        (Fraction(steps, len(faces[fid])) for fid, steps in block.outer_faces),
+        Fraction(len(block.interior_faces)),
+    )
 
 
 def g_eval(spec: BoundSpec, e: Fraction, f: Fraction) -> Fraction:
@@ -422,8 +419,8 @@ def _bridges_by_face(dec: Decomposition) -> dict[int, list[int]]:
 
 
 #: A merged cluster before its target is known: (kind, sorted member block
-#: ids, e, and the face share f as num/den).
-_Unit = tuple[str, tuple[int, ...], int, int, int]
+#: ids, e, and the face share f in 1/L units).
+_Unit = tuple[str, tuple[int, ...], int, int]
 
 
 class _Ledger(NamedTuple):
@@ -431,7 +428,8 @@ class _Ledger(NamedTuple):
     decomposition; only the sign of g, and so bridge absorption, depends
     on the target.
 
-    Block i has ``e[i]`` edges and the face share ``num[i]/den[i]``.
+    ``den`` is the graph's L, the lcm of its faces' dart counts, and
+    block i has ``e[i]`` edges and the face share ``num[i]/den``.
     ``bbar`` maps the smallest member of each BBar group to the group's
     unit, and ``grouped`` holds every member of a BBar group.
     ``candidates`` lists, in block order, each non-trivial block outside
@@ -444,7 +442,7 @@ class _Ledger(NamedTuple):
 
     e: list[int]
     num: list[int]
-    den: list[int]
+    den: int
     bbar: dict[int, _Unit]
     grouped: set[int]
     candidates: list[tuple[int, tuple[int, ...]]]
@@ -452,26 +450,30 @@ class _Ledger(NamedTuple):
 
 
 def _merge(
-    kind: str,
-    members: tuple[int, ...],
-    e: list[int],
-    num: list[int],
-    den: list[int],
+    kind: str, members: tuple[int, ...], e: list[int], num: list[int]
 ) -> _Unit:
-    """One unit for the sorted ``members``: e summed, f summed over the lcm
-    of the members' denominators."""
-    lcm = math.lcm(*(den[j] for j in members))
-    f = sum(num[j] * (lcm // den[j]) for j in members)
-    return kind, members, sum(e[j] for j in members), f, lcm
+    """One unit for the sorted ``members``: e and f summed."""
+    return (
+        kind,
+        members,
+        sum(e[j] for j in members),
+        sum(num[j] for j in members),
+    )
 
 
 def _ledger(pg: PlaneGraph, dec: Decomposition) -> _Ledger:
     """Per-block e and face shares, the BBar groups (rule 1 of
     `form_clusters`) and the bridge candidates of rule 2."""
+    faces = pg.faces
+    sizes = {len(face) for face in faces}
+    den = math.lcm(*sizes)
+    share = {d: den // d for d in sizes}  # one dart's, in 1/L units
     e = [len(b.edges) for b in dec.blocks]
-    shares = [_face_share(pg, b) for b in dec.blocks]
-    num = [f for f, _ in shares]
-    den = [d for _, d in shares]
+    num = [
+        len(b.interior_faces) * den
+        + sum(steps * share[len(faces[fid])] for fid, steps in b.outer_faces)
+        for b in dec.blocks
+    ]
     anomalies: list[DecompositionAnomaly] = []
     bbar: dict[int, _Unit] = {}
     grouped: set[int] = set()
@@ -492,7 +494,7 @@ def _ledger(pg: PlaneGraph, dec: Decomposition) -> _Ledger:
             continue
         members = tuple(sorted((block.id, *partners)))
         grouped.update(members)
-        bbar[members[0]] = _merge("bbar", members, e, num, den)
+        bbar[members[0]] = _merge("bbar", members, e, num)
 
     bridges_on_face = _bridges_by_face(dec)
     candidates = []
@@ -516,32 +518,32 @@ def _clusters(ledger: _Ledger, spec: BoundSpec) -> list[Cluster]:
     """The clusters of one target: rule 2 of `form_clusters` on the
     ledger's candidates, then every block or merged unit scored by g."""
     alpha, delta = spec.g_coefficients()
-    e_of, num_of, den_of = ledger.e, ledger.num, ledger.den
+    e_of, num_of, den = ledger.e, ledger.num, ledger.den
+    delta_den = delta * den
     # smallest member -> merged unit; every member of a merged unit
     merged = dict(ledger.bbar)
     absorbed = set(ledger.grouped)
     for block_id, bridges in ledger.candidates:
-        e, num, den = e_of[block_id], num_of[block_id], den_of[block_id]
-        if alpha * num - delta * e * den <= 0:
+        if alpha * num_of[block_id] - delta_den * e_of[block_id] <= 0:
             continue
         free = [b for b in bridges if b not in absorbed]
         if not free:
             continue
         members = tuple(sorted((block_id, *free)))
         absorbed.update(members)
-        merged[members[0]] = _merge("bridged", members, e_of, num_of, den_of)
+        merged[members[0]] = _merge("bridged", members, e_of, num_of)
 
     # A merged cluster is emitted at its smallest member, in block order.
     clusters: list[Cluster] = []
-    for i, (e, num, den) in enumerate(zip(e_of, num_of, den_of)):
+    for i, (e, num) in enumerate(zip(e_of, num_of)):
         if i in absorbed:
             unit = merged.get(i)
             if unit is None:
                 continue
-            kind, members, e, num, den = unit
+            kind, members, e, num = unit
         else:
             kind, members = "singleton", (i,)
-        g = alpha * num - delta * e * den
+        g = alpha * num - delta_den * e
         clusters.append(Cluster(kind, members, (e, 1), (num, den), (g, den)))
     return clusters
 
@@ -668,22 +670,16 @@ def _certificate(
 ) -> Certificate:
     clusters = tuple(_clusters(ledger, spec))
 
-    # On the integer pairs: every e is whole, and the f numerators are
-    # summed per denominator (a host repeats few face sizes), then over the
-    # lcm of the denominators.
-    e_total = 0
-    f_by_den: dict[int, int] = {}
+    # On the integer pairs: every e is whole, and every f is over L.
+    e_total = f_total = 0
     for c in clusters:
         e_total += c._ratio("e_c")[0]
-        num, den = c._ratio("f_c")
-        f_by_den[den] = f_by_den.get(den, 0) + num
-    f_den = math.lcm(*f_by_den)
-    f_num = sum(num * (f_den // den) for den, num in f_by_den.items())
-    identities_ok = e_total == pg.m and f_num == pg.face_count * f_den
+        f_total += c._ratio("f_c")[0]
+    identities_ok = e_total == pg.m and f_total == pg.face_count * ledger.den
     if not identities_ok:
         raise DecompositionError(
             f"contribution identities failed: sum e = {e_total} vs m = "
-            f"{pg.m}; sum f = {Fraction(f_num, f_den)} vs faces = "
+            f"{pg.m}; sum f = {Fraction(f_total, ledger.den)} vs faces = "
             f"{pg.face_count}"
         )
 

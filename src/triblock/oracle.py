@@ -88,7 +88,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from multiprocessing import Pool
-from typing import Iterable
 
 from .patterns import (
     contains_subgraph_using_edge,
@@ -101,6 +100,7 @@ from .plane_graph import (
     Graph,
     PlaneGraph,
     PlaneGraphError,
+    _edge_rows,
     _layers,
     normalize_edge,
 )
@@ -197,15 +197,6 @@ def arbitrary_embedding(g: Graph) -> PlaneGraph:
         raise PlaneGraphError("graph is not planar; cannot embed")
     data = embedding.get_data()
     return PlaneGraph(g.n, [data[v] for v in range(g.n)])
-
-
-def _edge_rows(n: int, edges: Iterable[Edge]) -> list[int]:
-    """The neighbors of each vertex 0..n-1 as an integer bitmask."""
-    rows = [0] * n
-    for u, v in edges:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return rows
 
 
 def _signatures(rows: list[int]) -> list[tuple[int, tuple[int, ...]]]:

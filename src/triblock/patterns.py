@@ -85,7 +85,7 @@ from functools import lru_cache
 from itertools import chain, islice, permutations
 from typing import Collection, Iterable, NamedTuple, Sequence
 
-from .plane_graph import Graph, PlaneGraph, _layers
+from .plane_graph import Graph, PlaneGraph, _edge_rows, _layers
 
 #: Name of the containment kernel, reported by the oracle CLI and benchmarks.
 KERNEL_NAME = "pure-python"
@@ -224,11 +224,7 @@ def _host_rows(host: Graph | PlaneGraph) -> list[int]:
     are built for a graph searched once, or off a plane host's rotation."""
     if not isinstance(host, Graph):
         return _rows(_host_adjacency(host))
-    rows = [0] * host.n
-    for u, v in host.edges:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return rows
+    return _edge_rows(host.n, host.edges)
 
 
 def _find_embedding(

@@ -102,6 +102,16 @@ def _layers(adj: Sequence[Sequence[int]], root: int) -> Iterator[list[int]]:
         layer = reached
 
 
+def _edge_rows(n: int, edges: Iterable[Edge]) -> list[int]:
+    """The neighbors of each vertex 0..n-1 as an integer bitmask, with
+    vertex w as bit w."""
+    rows = [0] * n
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
+
+
 @dataclass(frozen=True)
 class Graph:
     """A finite, undirected, simple graph on vertices 0..n-1."""

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 import pickle
 import random
@@ -25,6 +26,8 @@ from triblock.contribution import (
     THETA6_1_SPEC,
     THETA6_2_SPEC,
     BoundSpec,
+    Cluster,
+    ClusterConflict,
     DecompositionAnomaly,
     MalformedNeighborhood,
     TooSmall,
@@ -379,8 +382,7 @@ def random_plane_hosts(count: int, rng: random.Random) -> list[PlaneGraph]:
 def bbar_between_unequal_faces() -> PlaneGraph:
     """The BBar gadget's B5c and apexes w=5, v=6, with w and v joined by a
     path round each side: a 5-face on the left, a 6-face on the right.  So
-    the absorbed cross edges carry shares over 4 and 5 or over 4 and 6, and
-    the cluster's common denominator (60) is no single block's."""
+    the absorbed cross edges carry shares over 4 and 5 or over 4 and 6."""
     coords = {
         0: (-2.0, 0.0), 1: (0.0, 1.0), 2: (2.0, 0.0), 3: (0.0, -1.0),
         4: (0.0, 0.4), 5: (0.0, 2.5), 6: (0.0, -2.5),
@@ -557,3 +559,160 @@ def test_certify_decomposition_refuses_another_graphs_blocks(decompose_calls):
     assert decompose_calls == []  # it neither read nor filled the cache
     assert certify(pg, THETA6_1_SPEC).identities_ok
     assert decompose_calls == [pg]
+
+
+def cluster_rows(cert) -> list[tuple]:
+    return [tuple(c.to_json_dict().values()) for c in cert.clusters]
+
+
+#: Host 102 of ``perfbench/hosts.make_hosts(3, 200)``.  Under theta6-2 its
+#: Other block (1) and its B4a (3) are both positive and share the one
+#: bridge (0) on their faces: block 1 absorbs it, so block 3 finds no free
+#: bridge left and stays a positive singleton.
+SHARED_BRIDGE_HOST = """\
+planegraph 1
+13 27
+0: 12
+1: 8 6
+2: 6 10 5 4 11
+3: 7 6 9
+4: 5 12 2
+5: 12 4 2 10 6 8 9
+6: 2 12 9 3 7 1 8 5 10
+7: 9 8 6 3
+8: 7 5 6 1
+9: 5 7 3 6 12
+10: 5 2 6
+11: 12 2
+12: 6 11 4 5 9 0
+"""
+
+
+def test_a_positive_block_whose_bridges_are_taken_stays_a_singleton():
+    pg = parse_planegraph(SHARED_BRIDGE_HOST)
+    dec = decompose(pg)
+    assert [b.label for b in dec.blocks] == [
+        "B2", "Other", "B2", "B4a", "B2", "B2", "B2"
+    ]
+    cert = certify(pg, THETA6_2_SPEC)
+    assert cert.anomalies == ()
+    assert cert.violations == (2,)
+    assert cluster_rows(cert) == [
+        ("bridged", [0, 1], "17/1", "207/20", "-7/10"),
+        ("singleton", [2], "1/1", "1/2", "-2/1"),
+        ("singleton", [3], "6/1", "37/10", "3/5"),
+        ("singleton", [4], "1/1", "9/20", "-29/10"),
+        ("singleton", [5], "1/1", "1/2", "-2/1"),
+        ("singleton", [6], "1/1", "1/2", "-2/1"),
+    ]
+    # Under theta6-1 neither block is positive, so nothing is absorbed.
+    assert [c.kind for c in certify(pg, THETA6_1_SPEC).clusters] == [
+        "singleton"
+    ] * 7
+
+
+#: Two B5c blocks, each with its BBar neighbourhood, that share one cross
+#: edge: the B5c 0..4 with apexes 5 and 6, and the B5c 5, 7, 8, 9, 10 with
+#: apexes 0 and 11.  The edge (0, 5) is trivial block 1, absorbed by the
+#: first group, so the second B5c (block 6) falls back to a singleton.
+CONFLICT_HOST = """\
+planegraph 1
+12 23
+0: 6 3 2 4 1 5 7
+1: 0 4 2
+2: 3 6 5 1 4 0
+3: 2 0
+4: 0 2 1
+5: 8 0 2 11 10 7 9
+6: 2 0
+7: 0 8 9 5 10 11
+8: 5 9 7
+9: 8 5 7
+10: 7 5
+11: 7 5
+"""
+CONFLICT_ANOMALY = (
+    "ClusterConflict: block 6: trivial blocks [1] already belong to other "
+    "clusters; falling back to a singleton"
+)
+
+
+def test_a_trivial_block_claimed_by_two_b5cs_goes_to_the_first():
+    pg = parse_planegraph(CONFLICT_HOST)
+    dec = decompose(pg)
+    assert [b.label for b in dec.blocks].count("B5c") == 2
+    with pytest.warns(ClusterConflict) as caught:
+        form_clusters(pg, dec, THETA6_1_SPEC)
+    assert [f"ClusterConflict: {w.message}" for w in caught] == [CONFLICT_ANOMALY]
+    expected = {
+        THETA6_1_SPEC: ("-129/4", "-37/4", "1/1"),
+        THETA6_2_SPEC: ("-21/2", "-7/2", "2/1"),
+    }
+    for spec, (g_bbar, g_edge, g_b5c) in expected.items():
+        cert = certify(pg, spec)
+        assert cert.anomalies == (CONFLICT_ANOMALY,)
+        assert cert.violations == (2,)
+        assert cluster_rows(cert) == [
+            ("bbar", [0, 1, 2, 4, 5], "12/1", "27/4", g_bbar),
+            ("singleton", [3], "1/1", "5/12", g_edge),
+            ("singleton", [6], "8/1", "5/1", g_b5c),
+            ("singleton", [7], "1/1", "5/12", g_edge),
+            ("singleton", [8], "1/1", "5/12", g_edge),
+        ]
+
+
+#: The BBar gadget with one more vertex, 7, joined to 0 and to the apex 5:
+#: the cross edge (0, 5) now lies on the 3-face 0-5-7, in a B3.
+CROSS_EDGE_HOST = """\
+planegraph 1
+8 14
+0: 6 3 2 4 1 5 7
+1: 0 4 2
+2: 3 6 5 1 4 0
+3: 2 0
+4: 0 2 1
+5: 7 0 2
+6: 2 0
+7: 0 5
+"""
+CROSS_EDGE_ANOMALY = (
+    "MalformedNeighborhood: block 0: cross edge (0, 5) is not a trivial block "
+    "(got B3)"
+)
+
+
+def test_a_cross_edge_inside_a_larger_block_refuses_the_bbar():
+    pg = parse_planegraph(CROSS_EDGE_HOST)
+    expected = {
+        THETA6_1_SPEC: ("1/1", "-39/4", "-31/4"),
+        THETA6_2_SPEC: ("2/1", "-33/10", "-29/10"),
+    }
+    for spec, (g_b5c, g_b3, g_edge) in expected.items():
+        cert = certify(pg, spec)
+        assert cert.anomalies == (CROSS_EDGE_ANOMALY,)
+        assert cert.violations == (0,)
+        assert cluster_rows(cert) == [
+            ("singleton", [0], "8/1", "5/1", g_b5c),
+            ("singleton", [1], "3/1", "33/20", g_b3),
+            ("singleton", [2], "1/1", "9/20", g_edge),
+            ("singleton", [3], "1/1", "9/20", g_edge),
+            ("singleton", [4], "1/1", "9/20", g_edge),
+        ]
+
+
+def test_a_cluster_built_from_fractions_equals_one_built_from_pairs(
+    bbar_gadget: PlaneGraph,
+):
+    (cluster,) = certify(bbar_gadget, THETA6_1_SPEC).clusters
+    doctored = dataclasses.replace(cluster, g_c=Fraction(1, 5))
+    assert doctored.g_c == Fraction(1, 5)
+    assert (doctored.e_c, doctored.f_c) == (cluster.e_c, cluster.f_c) == (12, 7)
+    assert doctored != cluster
+    assert dataclasses.replace(doctored, g_c=cluster.g_c) == cluster
+    # Equality reads the values, not the pairs behind them.
+    ids = cluster.block_ids
+    assert Cluster("bbar", ids, (12, 1), (7, 1), (-21, 1)) == cluster
+    assert Cluster("bbar", ids, (24, 2), (105, 15), (-315, 15)) == cluster
+    assert (
+        Cluster("bbar", ids, Fraction(12), Fraction(7), Fraction(-21)) == cluster
+    )
